@@ -74,7 +74,6 @@ from .stackelberg import (
     leader_utility_piecewise,
     pbne_solve,
     sg_equilibrium,
-    status_quo,
     tau_exact,
     tau_hat,
     threshold_crossings,

@@ -3,7 +3,7 @@
 Subcommands: solve, sweep, br-curve, cascade, validate.  All output is
 deterministic for a fixed config: floats are written with their shortest
 round-trip representation and sweep rows are emitted in lexicographic grid
-order regardless of worker completion order.
+order.
 
 Exit codes: 0 success, 1 internal inconsistency, 2 usage/config error.
 """
@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import dp, erm, mfg, stackelberg
@@ -108,7 +107,7 @@ def _sweep_row(params: GameParams) -> tuple:
             report.thresholds.tau_hat)
 
 
-def run_sweep(config: RunConfig, out_dir: Path, jobs: int) -> int:
+def run_sweep(config: RunConfig, out_dir: Path) -> int:
     ranges = config.sweep_ranges()
     if not ranges:
         raise ConfigError("sweep requires at least one sweep.<param> range")
@@ -138,16 +137,10 @@ def run_sweep(config: RunConfig, out_dir: Path, jobs: int) -> int:
         except ValueError as exc:
             raise ConfigError(f"sweep point {dict(zip(names, values))}: {exc}")
 
-    if jobs > 1:
-        chunk = max(1, total // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_row, params_list, chunksize=chunk))
-    else:
-        results = [_sweep_row(p) for p in params_list]
-
     header = names + ["regime", "sigma_L_dagger", "sigma_bar_dagger", "U_L",
                       "tau_hat"]
-    rows = [tuple(values) + result for values, result in zip(points, results)]
+    rows = [tuple(values) + _sweep_row(params)
+            for values, params in zip(points, params_list)]
     _write_csv(out_dir / "sweep.csv", header, rows)
     print(f"sweep: {total} points -> {out_dir / 'sweep.csv'}")
     return 0
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", default=None, choices=("csv", "json"))
         cmd.add_argument("--seed", default=None, type=int, help="RNG seed")
         cmd.add_argument("--jobs", default=1, type=int,
-                         help="parallel workers (sweep only)")
+                         help="accepted and ignored: sweeps run serially")
     return parser
 
 
@@ -271,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return run_solve(config, out_dir, out_format)
         if args.command == "sweep":
-            return run_sweep(config, out_dir, max(1, args.jobs))
+            return run_sweep(config, out_dir)
         if args.command == "br-curve":
             return run_br_curve(config, out_dir)
         if args.command == "cascade":

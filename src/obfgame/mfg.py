@@ -174,15 +174,6 @@ def fixed_point_check(params: GameParams, sigma_L: float, sigma_bar: float) -> b
     return best_response(params, sigma_L, sigma_bar).contains(sigma_bar)
 
 
-def _mean_other_deviation(states: np.ndarray, i: int, M: float) -> float:
-    """Root of the mean of the other agents' variances (0 for a lone agent)."""
-    n = states.size
-    if n == 1:
-        return 0.0
-    others_at_max = int(states.sum()) - int(states[i])
-    return math.sqrt(M * M * others_at_max / (n - 1))
-
-
 def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
                      schedule: str = "async", rng_seed: int = 0,
                      max_rounds: int = 100) -> CascadeTrace:
@@ -203,9 +194,21 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
         raise ValueError("schedule must be 'async' or 'sync'")
 
     n, M = params.N, params.M
+    # An agent's response depends only on k, the number of other agents at
+    # M: their mean deviation is sqrt(M^2 k / (N - 1)), 0 for a lone agent.
+    # The root is capped at M, which it can exceed by rounding at k = N - 1.
+    # None marks indifference (the agent keeps its action), else True for M.
+    targets = []
+    for k in range(n):
+        kind = best_response(
+            params, sigma_L, min(M, math.sqrt(M * M * k / max(n - 1, 1)))).kind
+        targets.append(None if kind is ResponseKind.INDIFFERENT
+                       else kind is ResponseKind.MAX)
+
     rng = np.random.default_rng(rng_seed)
     states = np.zeros(n, dtype=bool)
     states[: math.ceil(seed_fraction * n)] = True
+    at_max = int(states.sum())
 
     def snapshot() -> np.ndarray:
         return np.where(states, M, 0.0)
@@ -214,26 +217,25 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     fractions = [states.mean()]
     converged = False
     for _ in range(max_rounds):
-        changed = False
         if schedule == "async":
-            for i in rng.permutation(n):
-                resp = best_response(params, sigma_L,
-                                     _mean_other_deviation(states, i, M))
-                if resp.kind is ResponseKind.INDIFFERENT:
+            changed = False
+            for i in rng.permutation(n).tolist():
+                current = bool(states[i])
+                target = targets[at_max - current]
+                if target is None or target == current:
                     continue
-                target = resp.kind is ResponseKind.MAX
-                if states[i] != target:
-                    states[i] = target
-                    changed = True
+                states[i] = target
+                at_max += 1 if target else -1
+                changed = True
         else:
             prev = states.copy()
-            for i in range(n):
-                resp = best_response(params, sigma_L,
-                                     _mean_other_deviation(prev, i, M))
-                if resp.kind is ResponseKind.INDIFFERENT:
-                    continue
-                states[i] = resp.kind is ResponseKind.MAX
+            # agents at M see at_max - 1 others there, agents at 0 see at_max
+            if at_max > 0 and targets[at_max - 1] is not None:
+                states[prev] = targets[at_max - 1]
+            if at_max < n and targets[at_max] is not None:
+                states[~prev] = targets[at_max]
             changed = bool(np.any(states != prev))
+            at_max = int(states.sum())
         rounds.append(snapshot())
         fractions.append(states.mean())
         if not changed:

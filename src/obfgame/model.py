@@ -81,13 +81,17 @@ class GameParams:
     conventions: ModelConventions = field(default_factory=ModelConventions)
 
     def __post_init__(self):
+        for name in ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("A_L", "A_S", "P_S", "rho", "M"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         for name in ("C_L", "C_S"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if isinstance(self.N, float) and not self.N.is_integer():
+        if isinstance(self.N, bool) or (
+                isinstance(self.N, float) and not self.N.is_integer()):
             raise ValueError("N must be an integer >= 1")
         if self.N < 1:
             raise ValueError("N must be an integer >= 1")

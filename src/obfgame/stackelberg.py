@@ -34,7 +34,6 @@ __all__ = [
     "induced_leader_utility",
     "leader_utility_piecewise",
     "sg_equilibrium",
-    "status_quo",
     "classify_regime",
     "pbne_solve",
 ]
@@ -257,32 +256,22 @@ def induced_leader_utility(params: GameParams, sigma_L: float) -> float:
     return learner_utility(params, sigma_L, gamma(params, sigma_L))
 
 
-def leader_utility_piecewise(params: GameParams, sigma_L: float) -> float:
+def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
+                             ) -> float | np.ndarray:
     """Reference approximation of the induced leader utility: zero payoff at
     no promise, a dead zone paying -C_L below tau_hat, and the deterred
     branch A_L exp(-c_g kappa sigma^2) - C_L from tau_hat on.  The exact
     curve switches earlier (at tau_exact); this form is the one whose argmax
-    the closed-form promise reproduces."""
-    if sigma_L == 0:
-        return 0.0
-    th = tau_hat(params)
-    if sigma_L < th:
-        return -params.C_L
+    the closed-form promise reproduces.  Takes a promise or an array of
+    promises and returns a float or an array to match; raises
+    UndefinedThresholdError when tau_hat is undefined (P_S <= C_S)."""
+    sigma = np.asarray(sigma_L, dtype=float)
     cv = params.conventions
-    return (params.A_L * math.exp(-cv.c_g * kappa(params) * sigma_L**2)
-            - params.C_L)
-
-
-def _piecewise_utility_vec(params: GameParams, sigma: np.ndarray) -> np.ndarray:
-    th = tau_hat(params)
-    cv = params.conventions
-    util = np.full(sigma.shape, -params.C_L)
-    util[sigma == 0] = 0.0
-    deterred = sigma >= th
-    util[deterred] = (params.A_L
-                      * np.exp(-cv.c_g * kappa(params) * sigma[deterred]**2)
-                      - params.C_L)
-    return util
+    deterred = (params.A_L * np.exp(-cv.c_g * kappa(params) * sigma**2)
+                - params.C_L)
+    util = np.where(sigma >= tau_hat(params), deterred, -params.C_L)
+    util = np.where(sigma == 0, 0.0, util)
+    return float(util) if util.ndim == 0 else util
 
 
 def _kappa_threshold(params: GameParams) -> float:
@@ -298,43 +287,57 @@ def _kappa_threshold(params: GameParams) -> float:
     return math.log(params.A_L / params.C_L) * privacy_log
 
 
-def _conditions(params: GameParams) -> RegimeConditions:
-    return RegimeConditions(
+def _closed_form(params: GameParams) -> tuple[
+        RegimeConditions, str | None, EquilibriumRegime]:
+    """The paper's closed form: the two classifying inequalities, the reason
+    the point lies within BOUNDARY_BAND of either (None when it does not),
+    and the table row they select.  The row is derived on Boundary points
+    too, so that pbne_solve can solve and verify them: a privacy surplus
+    above A_S selects PrivacyPromise when kappa falls short of the promise
+    threshold (exact ties go to no promise) and FullObfuscation otherwise."""
+    cond = RegimeConditions(
         privacy_surplus=params.P_S - params.C_S,
         accuracy_benefit=params.A_S,
         kappa=kappa(params),
         kappa_threshold=_kappa_threshold(params),
     )
-
-
-def _boundary_reason(cond: RegimeConditions) -> str | None:
+    surplus_wins = cond.privacy_surplus > cond.accuracy_benefit
+    reason = None
     if abs(cond.privacy_surplus - cond.accuracy_benefit) <= BOUNDARY_BAND:
-        return "privacy surplus within band of accuracy benefit"
-    if (cond.privacy_surplus > cond.accuracy_benefit
-            and math.isfinite(cond.kappa_threshold)
-            and abs(cond.kappa - cond.kappa_threshold) <= BOUNDARY_BAND):
-        return "kappa within band of the promise threshold"
-    return None
+        reason = "privacy surplus within band of accuracy benefit"
+    elif (surplus_wins and math.isfinite(cond.kappa_threshold)
+          and abs(cond.kappa - cond.kappa_threshold) <= BOUNDARY_BAND):
+        reason = "kappa within band of the promise threshold"
+    if not surplus_wins:
+        regime = EquilibriumRegime.STATUS_QUO
+    elif (cond.kappa < cond.kappa_threshold
+          and abs(cond.kappa - cond.kappa_threshold) > PROMISE_TIE_TOL):
+        regime = EquilibriumRegime.PRIVACY_PROMISE
+    else:
+        regime = EquilibriumRegime.FULL_OBFUSCATION
+    return cond, reason, regime
 
 
-def sg_equilibrium(params: GameParams) -> float:
-    """Closed-form optimal promise when P_S - C_S > A_S: no promise when
-    kappa exceeds ln(A_L/C_L) ln(P_S/(P_S - C_S)), tau_hat when it falls
-    short; exact ties resolve to no promise."""
-    cond = _conditions(params)
-    if not cond.privacy_surplus > cond.accuracy_benefit:
-        raise ValueError(
-            "sg_equilibrium requires P_S - C_S > A_S; use status_quo instead")
-    threshold = cond.kappa_threshold
-    if math.isnan(threshold) or abs(cond.kappa - threshold) <= PROMISE_TIE_TOL:
-        return 0.0
-    if cond.kappa > threshold:
+def _promise(params: GameParams, regime: EquilibriumRegime) -> float:
+    """The promise of a table row: tau_hat in PrivacyPromise, else none."""
+    if regime is not EquilibriumRegime.PRIVACY_PROMISE:
         return 0.0
     promise = tau_hat(params)
     if promise > params.M:
         raise ValueError(
             f"tau_hat={promise:.6g} exceeds M={params.M}; enlarge M")
     return promise
+
+
+def sg_equilibrium(params: GameParams) -> float:
+    """Closed-form optimal promise when P_S - C_S > A_S: no promise when
+    kappa exceeds ln(A_L/C_L) ln(P_S/(P_S - C_S)), tau_hat when it falls
+    short; exact ties resolve to no promise."""
+    _, _, regime = _closed_form(params)
+    if regime is EquilibriumRegime.STATUS_QUO:
+        raise ValueError("sg_equilibrium requires P_S - C_S > A_S; "
+                         "classify_regime reports the status quo")
+    return _promise(params, regime)
 
 
 def _report(params: GameParams, regime: EquilibriumRegime, sigma_L: float,
@@ -353,17 +356,6 @@ def _report(params: GameParams, regime: EquilibriumRegime, sigma_L: float,
     )
 
 
-def status_quo(params: GameParams) -> EquilibriumReport | None:
-    """The no-perturbation equilibrium when P_S - C_S < A_S (users prefer
-    full accuracy over privacy); absent otherwise, including at the exact
-    boundary."""
-    cond = _conditions(params)
-    if not cond.privacy_surplus < cond.accuracy_benefit:
-        return None
-    return _report(params, EquilibriumRegime.STATUS_QUO, 0.0, 0.0, cond,
-                   include_exact=False)
-
-
 def classify_regime(params: GameParams) -> EquilibriumReport:
     """Closed-form regime classification.
 
@@ -371,10 +363,10 @@ def classify_regime(params: GameParams) -> EquilibriumReport:
     with kappa above the promise threshold -> full obfuscation (M, 0);
     (3) surplus above A_S with kappa below -> privacy promise (0, tau_hat).
     Points within BOUNDARY_BAND of either inequality are flagged Boundary
-    and carry no equilibrium values.
+    and carry no equilibrium values.  The thresholds omit tau_exact (no row
+    depends on it); pbne_solve reports it.
     """
-    cond = _conditions(params)
-    reason = _boundary_reason(cond)
+    cond, reason, regime = _closed_form(params)
     if reason is not None:
         return EquilibriumReport(
             sigma_L_dagger=math.nan,
@@ -386,14 +378,10 @@ def classify_regime(params: GameParams) -> EquilibriumReport:
             conditions=cond,
             boundary_reason=reason,
         )
-    if cond.privacy_surplus < cond.accuracy_benefit:
-        return _report(params, EquilibriumRegime.STATUS_QUO, 0.0, 0.0, cond,
-                       include_exact=False)
-    if cond.kappa > cond.kappa_threshold or math.isnan(cond.kappa_threshold):
-        return _report(params, EquilibriumRegime.FULL_OBFUSCATION, 0.0,
-                       params.M, cond, include_exact=True)
-    return _report(params, EquilibriumRegime.PRIVACY_PROMISE,
-                   sg_equilibrium(params), 0.0, cond, include_exact=True)
+    sigma_bar = (params.M if regime is EquilibriumRegime.FULL_OBFUSCATION
+                 else 0.0)
+    return _report(params, regime, _promise(params, regime), sigma_bar, cond,
+                   include_exact=False)
 
 
 def _verify_leader_optimality(params: GameParams, sigma_dagger: float,
@@ -433,20 +421,8 @@ def pbne_solve(params: GameParams,
     induced utility.  Verification failure raises InconsistencyError with
     both candidate optima.
     """
-    cond = _conditions(params)
-    reason = _boundary_reason(cond)
-    if cond.privacy_surplus > cond.accuracy_benefit:
-        sigma_dagger = sg_equilibrium(params)
-        regime = (EquilibriumRegime.FULL_OBFUSCATION if sigma_dagger == 0.0
-                  else EquilibriumRegime.PRIVACY_PROMISE)
-        include_exact = True
-    else:
-        sigma_dagger = 0.0
-        regime = EquilibriumRegime.STATUS_QUO
-        include_exact = False
-    if reason is not None:
-        regime = EquilibriumRegime.BOUNDARY
-
+    cond, reason, regime = _closed_form(params)
+    sigma_dagger = _promise(params, regime)
     sigma_bar = gamma(params, sigma_dagger)
     if not fixed_point_check(params, sigma_dagger, sigma_bar):
         raise InconsistencyError(
@@ -454,5 +430,8 @@ def pbne_solve(params: GameParams,
             f"point at promise {sigma_dagger}",
             closed_form=(sigma_dagger, sigma_bar), scanned=(sigma_dagger, sigma_bar))
     _verify_leader_optimality(params, sigma_dagger, eq9_grid)
-    return _report(params, regime, sigma_dagger, sigma_bar, cond,
-                   include_exact=include_exact, reason=reason)
+    return _report(params,
+                   regime if reason is None else EquilibriumRegime.BOUNDARY,
+                   sigma_dagger, sigma_bar, cond,
+                   include_exact=regime is not EquilibriumRegime.STATUS_QUO,
+                   reason=reason)

@@ -37,7 +37,6 @@ from obfgame import (
     user_utility,
 )
 from obfgame.cli import main
-from obfgame.stackelberg import _piecewise_utility_vec
 
 
 def report(name: str, budget: float, started: float, ok: bool, detail: str):
@@ -207,7 +206,7 @@ def test_criterion_5_leader_optimality():
         params = _promise_draw(rng, n_low=2, n_high=2001)
         promise = sg_equilibrium(params)
         grid = np.linspace(0.0, params.M, 10_000)
-        values = _piecewise_utility_vec(params, grid)
+        values = leader_utility_piecewise(params, grid)
         scan_arg = float(grid[int(values.argmax())])
         cell = params.M / (10_000 - 1)
         gap = float(values.max()) - leader_utility_piecewise(params, promise)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,105 @@ class TestCascade:
             cascade_simulate(params, 0.0, 0.5, max_rounds=0)
         with pytest.raises(ValueError):
             cascade_simulate(params, 0.0, 0.5, schedule="wave")
+
+
+def _mean_other_deviation(states, i, M):
+    n = states.size
+    if n == 1:
+        return 0.0
+    others_at_max = int(states.sum()) - int(states[i])
+    return math.sqrt(M * M * others_at_max / (n - 1))
+
+
+def _reference_cascade(params, sigma_L, seed_fraction, schedule, rng_seed,
+                       max_rounds):
+    """The per-agent loop: one best_response and one O(N) sum per update."""
+    n, M = params.N, params.M
+    rng = np.random.default_rng(rng_seed)
+    states = np.zeros(n, dtype=bool)
+    states[: math.ceil(seed_fraction * n)] = True
+    rounds = [np.where(states, M, 0.0)]
+    fractions = [states.mean()]
+    converged = False
+    for _ in range(max_rounds):
+        changed = False
+        if schedule == "async":
+            for i in rng.permutation(n):
+                resp = best_response(params, sigma_L,
+                                     _mean_other_deviation(states, i, M))
+                if resp.kind is ResponseKind.INDIFFERENT:
+                    continue
+                target = resp.kind is ResponseKind.MAX
+                if states[i] != target:
+                    states[i] = target
+                    changed = True
+        else:
+            prev = states.copy()
+            for i in range(n):
+                resp = best_response(params, sigma_L,
+                                     _mean_other_deviation(prev, i, M))
+                if resp.kind is ResponseKind.INDIFFERENT:
+                    continue
+                states[i] = resp.kind is ResponseKind.MAX
+            changed = bool(np.any(states != prev))
+        rounds.append(np.where(states, M, 0.0))
+        fractions.append(states.mean())
+        if not changed:
+            converged = True
+            break
+    return (rounds, [float(f) for f in fractions], converged,
+            float(M * M * states.mean()))
+
+
+class TestCascadeEquivalence:
+    def _cases(self):
+        rng = np.random.default_rng(31)
+        for _ in range(120):
+            params = GameParams(
+                A_L=2.0, C_L=1.0, A_S=rng.uniform(0.5, 1.5),
+                C_S=rng.uniform(0.0, 0.5), P_S=rng.uniform(0.5, 3.0),
+                rho=rng.uniform(0.5, 2.0), N=int(rng.integers(1, 120)),
+                M=rng.uniform(0.1, 30.0))
+            yield (params, rng.uniform(0.0, min(3.0, params.M)),
+                   float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])))
+        # indifference for a lone agent, and for crowds below a level of
+        # the others' deviation
+        for n, M in ((1, 1.0), (50, 1e-4), (50, 5e-4), (50, 1e-3)):
+            params = make_params(A_S=1.0, P_S=2.0, C_S=1.0, N=n, M=M)
+            for fraction in (0.0, 0.3, 1.0):
+                yield params, 0.0, fraction
+        yield make_params(**BISTABLE), 1.0, 0.01
+
+    def test_matches_per_agent_loop(self):
+        compared = 0
+        for params, sigma_L, fraction in self._cases():
+            for schedule, max_rounds in itertools.product(("async", "sync"),
+                                                          (1, 30)):
+                args = (params, sigma_L, fraction, schedule, 7, max_rounds)
+                trace = cascade_simulate(*args)
+                try:
+                    want = _reference_cascade(*args)
+                except ValueError:
+                    # the loop's root of M^2 (N-1)/(N-1) can round above M
+                    M, n = params.M, params.N
+                    assert math.sqrt(M * M * (n - 1) / (n - 1)) > M
+                    continue
+                rounds, fractions, converged, mean_variance = want
+                assert len(trace.rounds) == len(rounds)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(trace.rounds, rounds))
+                assert trace.adoption_fraction == fractions
+                assert trace.converged == converged
+                assert trace.final_mean_variance == mean_variance
+                compared += 1
+        assert compared >= 480
+
+    def test_full_adoption_where_the_root_rounds_above_M(self):
+        # sqrt(0.3^2 * 3 / 3) = 0.30000000000000004 > M
+        params = make_params(A_S=1.0, P_S=4.0, C_S=1.0, N=4, M=0.3)
+        for schedule in ("async", "sync"):
+            trace = cascade_simulate(params, 0.0, 0.0, schedule=schedule)
+            assert trace.converged and trace.adoption_fraction[-1] == 1.0
 
 
 class TestBrCurve:

@@ -226,6 +226,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_params(N=2.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("C_S", math.nan), ("C_L", math.nan), ("M", math.inf),
+        ("A_L", math.inf), ("rho", math.inf), ("P_S", math.inf),
+        ("A_S", math.nan), ("C_L", math.inf), ("N", True),
+    ])
+    def test_rejects_non_finite_and_bool_fields(self, field, value):
+        with pytest.raises(ValueError):
+            make_params(**{field: value})
+
     def test_rejects_bad_conventions(self):
         with pytest.raises(ValueError):
             ModelConventions(c_g=0.0)

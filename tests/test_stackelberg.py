@@ -18,7 +18,6 @@ from obfgame import (
     learner_utility,
     pbne_solve,
     sg_equilibrium,
-    status_quo,
     tau_exact,
     tau_hat,
     threshold_crossings,
@@ -244,18 +243,19 @@ class TestSgEquilibrium:
 
 class TestStatusQuo:
     def test_present_when_accuracy_wins(self):
-        report = status_quo(make_params(A_S=1.0, P_S=1.5, C_S=1.0))
-        assert report is not None
+        report = classify_regime(make_params(A_S=1.0, P_S=1.5, C_S=1.0))
         assert report.regime is EquilibriumRegime.STATUS_QUO
         assert report.sigma_L_dagger == 0.0 and report.sigma_bar_dagger == 0.0
         assert report.learner_utility_at_eq == 2.0  # the learner's maximum A_L
         assert report.user_utility_at_eq == pytest.approx(1.0 - 1.5, rel=1e-15)
 
     def test_absent_when_privacy_wins(self):
-        assert status_quo(make_params(A_S=1.0, P_S=3.0, C_S=1.0)) is None
+        report = classify_regime(make_params(A_S=1.0, P_S=3.0, C_S=1.0))
+        assert report.regime is not EquilibriumRegime.STATUS_QUO
 
     def test_absent_at_exact_boundary(self):
-        assert status_quo(make_params(A_S=1.0, P_S=2.0, C_S=1.0)) is None
+        report = classify_regime(make_params(A_S=1.0, P_S=2.0, C_S=1.0))
+        assert report.regime is EquilibriumRegime.BOUNDARY
 
 
 class TestClassifyRegime:
@@ -291,7 +291,7 @@ class TestPbneSolve:
     def test_composes_status_quo(self):
         params = make_params(A_S=1.0, P_S=1.5, C_S=1.0)
         report = pbne_solve(params)
-        reference = status_quo(params)
+        reference = classify_regime(params)
         assert report.regime is EquilibriumRegime.STATUS_QUO
         assert report.sigma_L_dagger == reference.sigma_L_dagger
         assert report.learner_utility_at_eq == reference.learner_utility_at_eq
@@ -324,6 +324,30 @@ class TestPbneSolve:
             assert solved.sigma_L_dagger == pytest.approx(
                 closed.sigma_L_dagger, abs=1e-12)
             assert solved.sigma_bar_dagger == closed.sigma_bar_dagger
+
+    def test_same_derivation_as_classify_regime(self):
+        # Boundary rows included: both report the same regime, flag and
+        # reason; only pbne_solve locates tau_exact
+        rng = np.random.default_rng(27)
+        rows = [make_params(A_S=1.0, P_S=2.0, C_S=1.0),
+                make_params(A_S=1.0, P_S=1.5, C_S=1.0),
+                make_params(A_S=0.5, P_S=2.0, C_S=1.0, N=1),
+                make_params(A_S=0.5, P_S=2.0, C_S=1.0, N=100)]
+        # kappa = ln(A_L/C_L) ln 2, the promise threshold, up to rounding
+        rows.append(make_params(A_S=0.5, P_S=2.0, C_S=1.0, A_L=math.e,
+                                rho=1.0 / math.sqrt(math.log(2.0)), N=1))
+        rows += [promise_regime_params(rng) for _ in range(100)]
+        seen = set()
+        for params in rows:
+            closed, solved = classify_regime(params), pbne_solve(params)
+            seen.add(closed.regime)
+            assert solved.regime is closed.regime
+            assert solved.boundary_reason == closed.boundary_reason
+            assert closed.thresholds.tau_exact is None
+            want = (tau_exact(params)
+                    if params.P_S - params.C_S > params.A_S else None)
+            assert solved.thresholds.tau_exact == want
+        assert seen == set(EquilibriumRegime)
 
     def test_kappa_scale_invariance(self):
         # (rho, N) -> (rho / sqrt 2, 2N) preserves kappa and the decision
