@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     DegenerateRegressionError,
     InconsistencyError,
+    InfeasiblePromiseError,
     InfiniteLeakageError,
     NoCrossingError,
     ObfGameError,

@@ -13,12 +13,18 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import dp, erm, mfg, stackelberg
 from .config import GAME_FIELDS, RunConfig, parse_config
-from .errors import ConfigError, InconsistencyError, ObfGameError
+from .errors import (
+    ConfigError,
+    InconsistencyError,
+    InfeasiblePromiseError,
+    ObfGameError,
+)
 from .model import GameParams
 
 ERM_R_SQUARED_THRESHOLD = 0.9
@@ -100,8 +106,16 @@ def run_solve(config: RunConfig, out_dir: Path, out_format: str) -> int:
     return 0
 
 
+INFEASIBLE = "Infeasible"
+
+
 def _sweep_row(params: GameParams) -> tuple:
-    report = stackelberg.classify_regime(params)
+    """regime, sigma_L_dagger, sigma_bar_dagger, U_L and tau_hat of one
+    point; a promise above M gives an Infeasible row with NaN values."""
+    try:
+        report = stackelberg.classify_regime(params)
+    except InfeasiblePromiseError as exc:
+        return (INFEASIBLE, math.nan, math.nan, math.nan, exc.tau_hat)
     return (report.regime.value, report.sigma_L_dagger,
             report.sigma_bar_dagger, report.learner_utility_at_eq,
             report.thresholds.tau_hat)
@@ -142,7 +156,9 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
     rows = [tuple(values) + _sweep_row(params)
             for values, params in zip(points, params_list)]
     _write_csv(out_dir / "sweep.csv", header, rows)
-    print(f"sweep: {total} points -> {out_dir / 'sweep.csv'}")
+    infeasible = sum(row[len(names)] == INFEASIBLE for row in rows)
+    print(f"sweep: {total} points -> {out_dir / 'sweep.csv'} "
+          f"({infeasible} infeasible)")
     return 0
 
 
@@ -214,14 +230,16 @@ def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
          for r in dp_report.rows])
 
     erm_pass = (report.r_squared >= ERM_R_SQUARED_THRESHOLD
-                and report.rank_correlation == 1.0)
+                and report.rank_correlation == 1.0
+                and report.unconverged == 0)
     dp_rel = dp_report.max_deviation / dp_report.constant
     dp_pass = dp_rel <= DP_RELATIVE_DEVIATION_THRESHOLD
     summary = (
         f"erm_scaling: {'PASS' if erm_pass else 'FAIL'} "
         f"(r_squared={report.r_squared!r}, "
         f"rank_correlation={report.rank_correlation!r}, "
-        f"slope={report.slope!r})\n"
+        f"slope={report.slope!r}, "
+        f"unconverged={report.unconverged})\n"
         f"dp_scaling: {'PASS' if dp_pass else 'FAIL'} "
         f"(max_relative_deviation={dp_rel!r})\n")
     _write_text(out_dir / "validate_summary.txt", summary)

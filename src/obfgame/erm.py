@@ -143,6 +143,7 @@ class ScalingLevel:
     mean_excess_risk: float
     std_error: float
     replications: int
+    unconverged: int  # fits of this level that stopped at max_iters
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,7 @@ class ScalingReport:
     r_squared: float
     rank_correlation: float
     n_records: int
+    unconverged: int  # unconverged fits over all levels plus the reference
 
 
 def _task_seed(base: int, *index: int) -> int:
@@ -189,51 +191,78 @@ def perturb_dataset(data: Dataset, spec: PerturbationSpec) -> Dataset:
     return Dataset(features, data.labels.copy())
 
 
-def _objective(w: np.ndarray, X: np.ndarray, y: np.ndarray, rho: float) -> float:
-    margins = y * (X @ w)
-    return 0.5 * rho * float(w @ w) + float(np.mean(np.logaddexp(0.0, -margins)))
+# Armijo sufficient-decrease fraction and the most step halvings tried.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
 
-def _gradient(w: np.ndarray, X: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    margins = y * (X @ w)
-    # sigmoid(-m) computed stably
-    s = np.exp(-np.logaddexp(0.0, margins))
-    return rho * w - (X * (y * s)[:, None]).mean(axis=0)
+def _loss_change(step: float, q: np.ndarray, margins: np.ndarray,
+                 s: np.ndarray) -> np.ndarray:
+    """Per-record change of the logistic loss when the margins move from m to
+    m - step * q, with s = sigmoid(-m).
+
+    log1p(s * expm1(step * q)) is the change itself, exact to rounding even
+    when it is far below the loss; it is used where |step * q| <= 1, which
+    keeps expm1 finite and its log1p argument above -1 + 1/e.  Larger moves
+    take the difference of the two losses."""
+    a = step * q
+    near = np.abs(a) <= 1.0
+    change = np.log1p(s * np.expm1(np.where(near, a, 0.0)))
+    if not near.all():
+        far = ~near
+        change[far] = (np.logaddexp(0.0, a[far] - margins[far])
+                       - np.logaddexp(0.0, -margins[far]))
+    return change
 
 
 def erm_fit(data: Dataset, config: ErmConfig) -> FitResult:
-    """Minimize rho/2 ||f||^2 + mean logistic loss by gradient descent with
-    Armijo backtracking.  The objective is strictly convex, so the minimizer
-    is unique; iteration stops at grad_tolerance or max_iters (the latter
-    sets converged=False)."""
+    """Minimize rho/2 ||f||^2 + mean logistic loss by damped Newton.
+
+    Each iteration computes the gradient and the d x d Hessian
+    X' diag(sigma(m) sigma(-m)) X / n + rho I from one pass over the margins
+    m and solves for the Newton step p.  The step length t (1, 1/2, 1/4, ...)
+    is the first whose decrease passes the Armijo test, and the decrease is
+    computed exactly: mean(log1p(s expm1(t q))) + rho/2 (t^2 ||p||^2 -
+    2 t w.p) with q = y (X p) and s = sigma(-m), not as the difference of two
+    objective values, which stalls at the rounding floor near the optimum.
+    ``objectives`` starts at the objective at w = 0 (ln 2) and adds the
+    accepted decreases, so it never increases.  When no step length passes
+    (only possible at the rounding floor) the iterate stays put.
+
+    The objective is strictly convex, so the minimizer is unique; iteration
+    stops at grad_tolerance or max_iters (the latter sets converged=False).
+    """
     X, y = data.features, data.labels
-    w = np.zeros(data.d)
-    fval = _objective(w, X, y, config.rho)
+    n, d = X.shape
+    rho = config.rho
+    w = np.zeros(d)
+    fval = math.log(2.0)
     objectives = [fval]
-    step = 1.0
-    grad_norm = math.inf
-    converged = False
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        grad = _gradient(w, X, y, config.rho)
+    while True:
+        margins = y * (X @ w)
+        s = np.exp(-np.logaddexp(0.0, margins))  # sigmoid(-m), stably
+        grad = rho * w - X.T @ (y * s) / n
         grad_norm = float(np.sqrt(grad @ grad))
-        if grad_norm <= config.grad_tolerance:
-            converged = True
-            iterations -= 1
+        if (grad_norm <= config.grad_tolerance
+                or iterations == config.max_iters):
             break
-        step = min(step * 2.0, 1e8)
-        while True:
-            candidate = w - step * grad
-            cand_val = _objective(candidate, X, y, config.rho)
-            if cand_val <= fval - 0.5 * step * grad_norm**2 or step < 1e-18:
+        iterations += 1
+        hessian = (X.T * (s * (1.0 - s))) @ X / n + rho * np.eye(d)
+        p = np.linalg.solve(hessian, grad)
+        q = y * (X @ p)
+        slope, pp, wp = float(grad @ p), float(p @ p), float(w @ p)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            decrease = (float(np.mean(_loss_change(step, q, margins, s)))
+                        + 0.5 * rho * (step * step * pp - 2.0 * step * wp))
+            if decrease <= -_ARMIJO * step * slope:
+                w = w - step * p
+                fval += decrease
                 break
             step *= 0.5
-        w, fval = candidate, cand_val
         objectives.append(fval)
-    else:
-        grad = _gradient(w, X, y, config.rho)
-        grad_norm = float(np.sqrt(grad @ grad))
-        converged = grad_norm <= config.grad_tolerance
+    converged = grad_norm <= config.grad_tolerance
     return FitResult(Classifier(w), converged, iterations, grad_norm, objectives)
 
 
@@ -321,7 +350,8 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
     Every (level, replication) task draws its own training data, noise, and
     evaluation sample from seeds derived independently of the other tasks.
     Reports the least-squares slope and intercept, the coefficient of
-    determination, and the rank correlation between v and the level means.
+    determination, the rank correlation between v and the level means, and
+    how many fits (the reference fit included) stopped unconverged.
     """
     if len(noise_levels) < 4:
         raise ValueError("at least 4 noise levels are required")
@@ -332,17 +362,23 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
         raise DegenerateRegressionError(
             "all noise levels share the same variance aggregate")
 
-    f_star = reference_classifier(gen, config, n_ref, _task_seed(rng_seed, 0))
+    # the reference fit itself, not reference_classifier, so that its
+    # convergence is counted with the others
+    reference = erm_fit(generate_synthetic(n_ref, gen.d, gen.separation,
+                                           _task_seed(rng_seed, 0)), config)
+    f_star = reference.classifier
     levels = []
     for li, profile in enumerate(noise_levels):
         stds = _per_user_stds(profile, n_records, carriers)
         estimates = np.empty(replications)
+        unconverged = 0
         for rep in range(replications):
             data = generate_synthetic(n_records, gen.d, gen.separation,
                                       _task_seed(rng_seed, 1, li, rep))
             noisy = perturb_dataset(data, PerturbationSpec(
                 profile.sigma_L, stds, _task_seed(rng_seed, 2, li, rep)))
             fit = erm_fit(noisy, config)
+            unconverged += not fit.converged
             estimates[rep] = excess_risk(
                 fit.classifier, f_star, config, gen, n_eval,
                 _task_seed(rng_seed, 3, li, rep)).estimate
@@ -353,6 +389,7 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
             mean_excess_risk=float(estimates.mean()),
             std_error=float(estimates.std(ddof=1) / math.sqrt(replications)),
             replications=replications,
+            unconverged=unconverged,
         ))
 
     means = np.array([lv.mean_excess_risk for lv in levels])
@@ -366,5 +403,8 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
     diff = _rank(v_values) - _rank(means)
     n_lv = len(means)
     rank_correlation = 1.0 - 6.0 * float(diff @ diff) / (n_lv * (n_lv**2 - 1))
+    total_unconverged = (sum(lv.unconverged for lv in levels)
+                         + (not reference.converged))
     return ScalingReport(tuple(levels), float(slope), float(intercept),
-                         r_squared, rank_correlation, n_records)
+                         r_squared, rank_correlation, n_records,
+                         total_unconverged)

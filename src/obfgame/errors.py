@@ -16,6 +16,16 @@ class UndefinedThresholdError(ObfGameError):
     (privacy loss does not exceed the obfuscation cost)."""
 
 
+class InfeasiblePromiseError(ObfGameError, ValueError):
+    """The closed-form promise tau_hat exceeds the noise cap M, so the
+    privacy-promise row cannot be realized.  A ValueError, so that the CLI
+    treats it as a config error outside sweeps."""
+
+    def __init__(self, message: str, tau_hat: float):
+        super().__init__(message)
+        self.tau_hat = tau_hat
+
+
 class NoCrossingError(ObfGameError):
     """No sign change of pressure minus abstain-value was found on (0, M].
 

@@ -11,7 +11,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InconsistencyError, NoCrossingError, UndefinedThresholdError
+from .errors import (
+    InconsistencyError,
+    InfeasiblePromiseError,
+    NoCrossingError,
+    UndefinedThresholdError,
+)
 from .mfg import fixed_point_check, gamma
 from .model import (
     GameParams,
@@ -324,8 +329,8 @@ def _promise(params: GameParams, regime: EquilibriumRegime) -> float:
         return 0.0
     promise = tau_hat(params)
     if promise > params.M:
-        raise ValueError(
-            f"tau_hat={promise:.6g} exceeds M={params.M}; enlarge M")
+        raise InfeasiblePromiseError(
+            f"tau_hat={promise:.6g} exceeds M={params.M}; enlarge M", promise)
     return promise
 
 

@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from obfgame import GameParams, classify_regime, tau_hat
+from obfgame import GameParams, classify_regime, erm, tau_hat
 from obfgame.cli import main
 from obfgame.config import parse_config
 from obfgame.errors import ConfigError
@@ -140,6 +141,38 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, ROW3_GAME)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_promise_above_M_is_an_infeasible_row(self, tmp_path, capsys):
+        text = (ROW3_GAME.replace("game.C_S = 1.0\n", "")
+                .replace("game.N = 100", "game.N = 1000")
+                .replace("game.M = 50.0", "game.M = 5.0")
+                + "sweep.C_S.min = 0.01\nsweep.C_S.max = 1.0\n"
+                  "sweep.C_S.steps = 10\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("(1 infeasible)")
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == ("C_S,regime,sigma_L_dagger,sigma_bar_dagger,U_L,"
+                            "tau_hat")
+        assert len(lines) == 11
+        assert lines[1] == "0.01,Infeasible,nan,nan,nan,14.12443210498602"
+        for line in lines[2:]:
+            cells = line.split(",")
+            params = GameParams(A_L=2.0, C_L=1.0, A_S=0.5, P_S=2.0,
+                                C_S=float(cells[0]), rho=1.0, N=1000, M=5.0)
+            report = classify_regime(params)
+            assert cells[1:] == [
+                report.regime.value, repr(report.sigma_L_dagger),
+                repr(report.sigma_bar_dagger),
+                repr(report.learner_utility_at_eq),
+                repr(report.thresholds.tau_hat)]
+        # solve on the infeasible point stays a config error
+        solve = write_config(tmp_path, text.split("sweep.")[0]
+                             + "game.C_S = 0.01\n", name="solve.cfg")
+        assert main(["solve", "--config", solve,
+                     "--out", str(tmp_path / "solve")]) == 2
+        assert "exceeds M=5.0" in capsys.readouterr().err
+
 
 class TestBrCurveCommand:
     def test_two_point_curve(self, tmp_path):
@@ -211,6 +244,27 @@ class TestValidateCommand:
                                "epsilon,valid")
         summary = (out / "validate_summary.txt").read_text()
         assert "erm_scaling: PASS" in summary
+        assert "unconverged=0)" in summary
+        assert "dp_scaling: PASS" in summary
+
+    def test_unconverged_fits_fail_validation(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(erm, "ErmConfig",
+                            functools.partial(erm.ErmConfig, max_iters=1))
+        cfg = write_config(tmp_path, (
+            "rng_seed = 123\n"
+            "experiment.erm.n = 300\n"
+            "experiment.erm.replications = 10\n"
+            "experiment.erm.n_ref = 30000\n"
+            "experiment.erm.n_eval = 4000\n"))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+        summary = (out / "validate_summary.txt").read_text()
+        assert summary == capsys.readouterr().out
+        erm_line = summary.splitlines()[0]
+        # 5 levels x 10 replications plus the reference fit
+        assert erm_line.startswith("erm_scaling: FAIL (")
+        assert erm_line.endswith(", unconverged=51)")
         assert "dp_scaling: PASS" in summary
 
     def test_too_few_replications_refused(self, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obfgame import (
     Classifier,
@@ -20,6 +22,7 @@ from obfgame import (
     scaling_experiment,
     variance_aggregate,
 )
+from obfgame.erm import _per_user_stds, _task_seed
 
 
 class TestGenerateSynthetic:
@@ -126,6 +129,51 @@ class TestErmFit:
                                       grad_tolerance=1e-14))
         assert not fit.converged
 
+    @pytest.mark.parametrize("seed, n_records, level, rep", [
+        (7, 500, 3, 11),   # gradient descent stalled at max_iters
+        (0, 1000, 4, 24),  # Armijo on f(cand) - f(w) stalls at the floor
+    ])
+    def test_known_stalls_converge(self, seed, n_records, level, rep):
+        """Fits of acceptance 6's experiment (25 carriers, rho = 0.1) that
+        earlier line searches left at a gradient norm of 1.14e-8."""
+        profile = levels_from_aggregates([0.0, 0.5, 1.0, 2.0, 4.0],
+                                         n_records)[level]
+        data = generate_synthetic(n_records, 5, 1.0,
+                                  _task_seed(seed, 1, level, rep))
+        noisy = perturb_dataset(data, PerturbationSpec(
+            profile.sigma_L, _per_user_stds(profile, n_records, 25),
+            _task_seed(seed, 2, level, rep)))
+        config = ErmConfig(rho=0.1)
+        fit = erm_fit(noisy, config)
+        assert fit.converged
+        assert fit.grad_norm <= config.grad_tolerance
+        assert fit.iterations <= 10
+        assert len(fit.objectives) == fit.iterations + 1
+        assert np.all(np.diff(fit.objectives) <= 0)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 3000), d=st.integers(1, 8),
+           separation=st.floats(0.0, 6.0),
+           rho=st.floats(1e-4, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_newton_converges_with_monotone_record(self, n, d, separation,
+                                                   rho, seed):
+        data = generate_synthetic(n, d, separation, rng_seed=seed)
+        config = ErmConfig(rho=rho)
+        fit = erm_fit(data, config)
+        assert fit.converged
+        assert fit.grad_norm <= config.grad_tolerance
+        assert np.all(np.diff(fit.objectives) <= 0)
+
+    def test_objective_record_matches_direct_evaluation(self):
+        data = generate_synthetic(3000, 5, 2.0, rng_seed=63)
+        fit = erm_fit(data, ErmConfig(rho=0.01))
+        w, X, y = fit.classifier.weights, data.features, data.labels
+        direct = (0.005 * float(w @ w)
+                  + float(np.mean(np.logaddexp(0.0, -y * (X @ w)))))
+        assert fit.objectives[0] == math.log(2.0)
+        assert abs(fit.objectives[-1] - direct) <= 1e-14
+
     def test_rejects_unknown_loss(self):
         with pytest.raises(ValueError):
             ErmConfig(rho=0.1, loss="hinge")
@@ -211,6 +259,18 @@ class TestScalingExperiment:
         assert report.rank_correlation == 1.0
         assert len(report.levels) == 5
         assert all(lv.replications == 15 for lv in report.levels)
+        assert all(lv.unconverged == 0 for lv in report.levels)
+        assert report.unconverged == 0
+
+    def test_counts_unconverged_fits(self):
+        gen = GeneratorSpec(3, 1.0)
+        config = ErmConfig(rho=0.1, max_iters=1)
+        levels = levels_from_aggregates([0.0, 0.5, 1.0, 2.0], 100)
+        report = scaling_experiment(gen, 100, config, levels,
+                                    replications=10, rng_seed=5,
+                                    n_eval=1000, n_ref=2000)
+        assert [lv.unconverged for lv in report.levels] == [10] * 4
+        assert report.unconverged == 41  # the reference fit counts too
 
     def test_requires_enough_levels_and_replications(self):
         gen = GeneratorSpec(3, 1.0)
@@ -233,8 +293,6 @@ class TestScalingExperiment:
                                rng_seed=0)
 
     def test_carrier_layout_preserves_aggregate(self):
-        from obfgame.erm import _per_user_stds
-
         profile = NoiseProfile(0.0, 2.0, 1.5)
         for carriers in (None, 1, 10, 99):
             stds = _per_user_stds(profile, 100, carriers)
