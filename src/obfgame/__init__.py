@@ -17,6 +17,7 @@ from .erm import (
     ExcessRisk,
     FitResult,
     GeneratorSpec,
+    NoiseProfile,
     PerturbationSpec,
     ScalingLevel,
     ScalingReport,
@@ -56,7 +57,6 @@ from .mfg import (
 from .model import (
     GameParams,
     ModelConventions,
-    NoiseProfile,
     abstain_value,
     accuracy_level,
     kappa,

@@ -15,9 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateRegressionError
-from .model import NoiseProfile
+from .model import _variance_aggregate
 
 __all__ = [
+    "NoiseProfile",
     "Dataset",
     "GeneratorSpec",
     "PerturbationSpec",
@@ -36,6 +37,23 @@ __all__ = [
     "levels_from_aggregates",
     "scaling_experiment",
 ]
+
+
+@dataclass(frozen=True)
+class NoiseProfile:
+    """One evaluation point of the noise landscape: learner noise std
+    sigma_L, root-mean deviation sigma_bar_other of the other users, and own
+    deviation sigma_S."""
+
+    sigma_L: float
+    sigma_bar_other: float
+    sigma_S: float
+
+    def __post_init__(self):
+        for name in ("sigma_L", "sigma_bar_other", "sigma_S"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass
@@ -96,15 +114,12 @@ class PerturbationSpec:
 @dataclass(frozen=True)
 class ErmConfig:
     rho: float
-    loss: str = "logistic"
     max_iters: int = 2000
     grad_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.loss != "logistic":
-            raise ValueError(f"unsupported loss {self.loss!r}")
         if not self.grad_tolerance > 0:
             raise ValueError("grad_tolerance must be positive")
 
@@ -295,9 +310,8 @@ def excess_risk(f_d: Classifier, f_star: Classifier, config: ErmConfig,
 def variance_aggregate(profile: NoiseProfile, n_records: int) -> float:
     """Weighted noise-variance sum v = sigma_L^2 + ((N-1)/N) sigma_bar^2
     + (1/N) sigma_S^2 that the excess risk is regressed against."""
-    return (profile.sigma_L**2
-            + ((n_records - 1) / n_records) * profile.sigma_bar_other**2
-            + profile.sigma_S**2 / n_records)
+    return _variance_aggregate(n_records, profile.sigma_L**2,
+                               profile.sigma_bar_other**2, profile.sigma_S**2)
 
 
 def levels_from_aggregates(aggregates: Sequence[float],

@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import GameParams, abstain_value, kappa, privacy_pressure
+from .model import GameParams, abstain_value, privacy_pressure, user_utility
 
 __all__ = [
     "INDIFFERENCE_TOL",
@@ -89,36 +89,30 @@ class CascadeTrace:
     final_mean_variance: float
 
 
+def _response(params: GameParams, sigma_L: float, sigma_bar_other, tol: float):
+    """The corner decision rule, elementwise over crowd levels: the masks
+    (obfuscate, abstain), true where the promise-only privacy loss exceeds,
+    or falls short of, the value of abstaining by more than tol.  Neither
+    holds where the user is indifferent."""
+    pressure = privacy_pressure(params, sigma_L)
+    abstain = abstain_value(params, sigma_L, sigma_bar_other)
+    return pressure > abstain + tol, pressure < abstain - tol
+
+
+def _corner(params: GameParams, obfuscate: bool, abstain: bool) -> BestResponse:
+    if abstain:
+        return BestResponse(ResponseKind.ZERO, (0.0, 0.0))
+    if obfuscate:
+        return BestResponse(ResponseKind.MAX, (params.M, params.M))
+    return BestResponse(ResponseKind.INDIFFERENT, (0.0, params.M))
+
+
 def best_response(params: GameParams, sigma_L: float, sigma_bar_other: float,
                   tol: float = INDIFFERENCE_TOL) -> BestResponse:
     """Corner best response: abstain when the promise-only privacy loss falls
     short of the value of abstaining, obfuscate fully when it exceeds it,
     indifferent within ``tol`` of the crossing."""
-    pressure = privacy_pressure(params, sigma_L)
-    abstain = abstain_value(params, sigma_L, sigma_bar_other)
-    if pressure < abstain - tol:
-        return BestResponse(ResponseKind.ZERO, (0.0, 0.0))
-    if pressure > abstain + tol:
-        return BestResponse(ResponseKind.MAX, (params.M, params.M))
-    return BestResponse(ResponseKind.INDIFFERENT, (0.0, params.M))
-
-
-def _user_utility_grid(params: GameParams, sigma_L: float,
-                       sigma_bar_other: float, sigma_S: np.ndarray) -> np.ndarray:
-    """user_utility evaluated elementwise over an array of own deviations."""
-    cv = params.conventions
-    n = params.N
-    k = kappa(params)
-    eps_g = cv.c_g * k * (sigma_L**2
-                          + ((n - 1) / n) * sigma_bar_other**2
-                          + sigma_S**2 / n)
-    total = sigma_L**2 + sigma_S**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps_p = cv.c_p * np.where(total > 0, total, np.nan) ** (-cv.privacy_exponent)
-    leak = np.where(total > 0, -np.expm1(-eps_p), 1.0)
-    return (params.A_S * np.exp(-eps_g)
-            - params.P_S * leak
-            - params.C_S * (sigma_S > 0))
+    return _corner(params, *_response(params, sigma_L, sigma_bar_other, tol))
 
 
 def best_response_oracle(params: GameParams, sigma_L: float,
@@ -131,7 +125,7 @@ def best_response_oracle(params: GameParams, sigma_L: float,
         raise ValueError("grid_size must be >= 2")
     grid = np.concatenate(
         ([0.0], np.linspace(params.M / grid_size, params.M, grid_size)))
-    util = _user_utility_grid(params, sigma_L, sigma_bar_other, grid)
+    util = user_utility(params, sigma_L, sigma_bar_other, grid)
     return grid[util >= util.max() - ORACLE_TIE_TOL]
 
 
@@ -161,12 +155,13 @@ def mfg_equilibria(params: GameParams, sigma_L: float) -> MfgEquilibria:
     return MfgEquilibria(tuple(points), gamma(params, sigma_L), regime)
 
 
-def gamma(params: GameParams, sigma_L: float) -> float:
+def gamma(params: GameParams, sigma_L: float | np.ndarray) -> float | np.ndarray:
     """Induced symmetric response: M exactly when the promise-only privacy
     loss strictly exceeds the abstain value against a non-obfuscating crowd,
-    else 0 (the selection in the bistable band)."""
-    pressure = privacy_pressure(params, sigma_L)
-    return params.M if pressure > abstain_value(params, sigma_L, 0.0) else 0.0
+    else 0 (the selection in the bistable band).  Takes a promise or an array
+    of promises."""
+    return params.M * (privacy_pressure(params, sigma_L)
+                       > abstain_value(params, sigma_L, 0.0))
 
 
 def fixed_point_check(params: GameParams, sigma_L: float, sigma_bar: float) -> bool:
@@ -198,12 +193,10 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     # M: their mean deviation is sqrt(M^2 k / (N - 1)), 0 for a lone agent.
     # The root is capped at M, which it can exceed by rounding at k = N - 1.
     # None marks indifference (the agent keeps its action), else True for M.
-    targets = []
-    for k in range(n):
-        kind = best_response(
-            params, sigma_L, min(M, math.sqrt(M * M * k / max(n - 1, 1)))).kind
-        targets.append(None if kind is ResponseKind.INDIFFERENT
-                       else kind is ResponseKind.MAX)
+    crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
+    obfuscate, abstain = _response(params, sigma_L, crowd, INDIFFERENCE_TOL)
+    targets = [False if a else True if o else None
+               for o, a in zip(obfuscate.tolist(), abstain.tolist())]
 
     rng = np.random.default_rng(rng_seed)
     states = np.zeros(n, dtype=bool)
@@ -253,4 +246,6 @@ def br_curve(params: GameParams, sigma_L: float,
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     levels = np.linspace(0.0, params.M, n_points)
-    return [(float(s), best_response(params, sigma_L, float(s))) for s in levels]
+    obfuscate, abstain = _response(params, sigma_L, levels, INDIFFERENCE_TOL)
+    return [(s, _corner(params, o, a)) for s, o, a in
+            zip(levels.tolist(), obfuscate.tolist(), abstain.tolist())]

@@ -2,6 +2,9 @@
 
 Holds the game constants and the accuracy / privacy / utility functions that
 every solver consumes.  All operations are pure functions of their arguments.
+Each law is written once, as a kernel over variances; its public function
+takes each deviation as a float or an array, checks it against [0, M], and
+returns a float for floats and an array otherwise.
 
 Model conventions: a learner promises perturbation with standard deviation
 sigma_L, every user i chooses a standard deviation sigma_S in [0, M], and the
@@ -16,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "ModelConventions",
     "GameParams",
-    "NoiseProfile",
     "kappa",
     "accuracy_level",
     "privacy_level",
@@ -38,14 +42,12 @@ class ModelConventions:
     is the exponent applied to the combined noise variance in the privacy
     level: 1.0 (default) makes the closed-form promise threshold exact, 0.5
     reproduces the literal inverse-square-root scaling of Gaussian-mechanism
-    calibration.  infinity_sentinel represents the unbounded privacy level at
-    zero total noise; exp(-sentinel) must evaluate to 0.
+    calibration.
     """
 
     c_g: float = 1.0
     c_p: float = 1.0
     privacy_exponent: float = 1.0
-    infinity_sentinel: float = math.inf
 
     def __post_init__(self):
         if not self.c_g > 0:
@@ -54,8 +56,6 @@ class ModelConventions:
             raise ValueError("c_p must be positive")
         if self.privacy_exponent not in (0.5, 1.0):
             raise ValueError("privacy_exponent must be 0.5 or 1.0")
-        if not self.infinity_sentinel > 0:
-            raise ValueError("infinity_sentinel must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,96 +100,116 @@ class GameParams:
         object.__setattr__(self, "N", int(self.N))
 
 
-@dataclass(frozen=True)
-class NoiseProfile:
-    """One evaluation point of the noise landscape.
-
-    sigma_L: learner noise std; sigma_bar_other: root-mean deviation of the
-    other users; sigma_S: own deviation.
-    """
-
-    sigma_L: float
-    sigma_bar_other: float
-    sigma_S: float
-
-    def __post_init__(self):
-        for name in ("sigma_L", "sigma_bar_other", "sigma_S"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
-def _check_sigma(params: GameParams, **sigmas: float) -> None:
-    for name, value in sigmas.items():
-        if not 0 <= value <= params.M:
-            raise ValueError(f"{name}={value} outside [0, M={params.M}]")
-
-
 def kappa(params: GameParams) -> float:
     """Accuracy-sensitivity scale 1/(rho^2 N)."""
     return 1.0 / (params.rho**2 * params.N)
 
 
-def accuracy_level(params: GameParams, noise: NoiseProfile) -> float:
+def _variance(params: GameParams, name: str, sigma):
+    """sigma^2 after checking that sigma lies in [0, M] (NaN does not): a
+    float for a float, else a float array."""
+    if isinstance(sigma, (float, int)):
+        if not 0 <= sigma <= params.M:
+            raise ValueError(f"{name}={sigma} outside [0, M={params.M}]")
+        return float(sigma)**2
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.size and not (sigma.min() >= 0 and sigma.max() <= params.M):
+        bad = sigma[~((sigma >= 0) & (sigma <= params.M))].flat[0]
+        raise ValueError(f"{name}={bad} outside [0, M={params.M}]")
+    return sigma**2
+
+
+def _exp(x):
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
+# One kernel per law, over unchecked variances v = sigma^2 (floats or arrays).
+
+def _variance_aggregate(n: int, v_L, v_bar_other, v_S):
+    """The noise one record's loss sees among n records."""
+    return v_L + ((n - 1) / n) * v_bar_other + v_S / n
+
+
+def _accuracy(params: GameParams, v_L, v_bar_other, v_S):
+    return (params.conventions.c_g * kappa(params)
+            * _variance_aggregate(params.N, v_L, v_bar_other, v_S))
+
+
+def _privacy(params: GameParams, v_L, v_S):
+    total = v_L + v_S
+    cv = params.conventions
+    if isinstance(total, float):
+        return cv.c_p * total**-cv.privacy_exponent if total > 0 else math.inf
+    with np.errstate(divide="ignore"):
+        return cv.c_p * total**-cv.privacy_exponent
+
+
+def _privacy_loss(params: GameParams, v_L, v_S):
+    """P_S (1 - exp(-eps_p)); exactly P_S at zero total noise."""
+    return params.P_S * (1.0 - _exp(-_privacy(params, v_L, v_S)))
+
+
+def _user(params: GameParams, v_L, v_bar_other, v_S):
+    return (params.A_S * _exp(-_accuracy(params, v_L, v_bar_other, v_S))
+            - _privacy_loss(params, v_L, v_S)
+            - params.C_S * (v_S > 0))
+
+
+def _learner(params: GameParams, v_L, v_bar):
+    return (params.A_L * _exp(-_accuracy(params, v_L, v_bar, v_bar))
+            - params.C_L * (v_L > 0))
+
+
+def _abstain(params: GameParams, v_L, v_bar_other):
+    return (params.A_S * _exp(-_accuracy(params, v_L, v_bar_other, 0.0))
+            + params.C_S)
+
+
+def accuracy_level(params: GameParams, sigma_L, sigma_bar_other, sigma_S):
     """Excess expected training loss caused by the given noise profile.
 
     Equals c_g * kappa * (sigma_L^2 + ((N-1)/N) sigma_bar_other^2
     + (1/N) sigma_S^2); zero at zero noise.
     """
-    _check_sigma(params, sigma_L=noise.sigma_L,
-                 sigma_bar_other=noise.sigma_bar_other, sigma_S=noise.sigma_S)
-    n = params.N
-    weighted = (noise.sigma_L**2
-                + ((n - 1) / n) * noise.sigma_bar_other**2
-                + noise.sigma_S**2 / n)
-    return params.conventions.c_g * kappa(params) * weighted
+    return _accuracy(params, _variance(params, "sigma_L", sigma_L),
+                     _variance(params, "sigma_bar_other", sigma_bar_other),
+                     _variance(params, "sigma_S", sigma_S))
 
 
-def privacy_level(params: GameParams, sigma_L: float, sigma_S: float) -> float:
+def privacy_level(params: GameParams, sigma_L, sigma_S):
     """Differential-privacy leakage bound from the noise protecting one record.
 
-    c_p * (sigma_L^2 + sigma_S^2) ** -privacy_exponent; the infinity sentinel
-    at zero total noise (no randomness, unbounded leakage).
+    c_p * (sigma_L^2 + sigma_S^2) ** -privacy_exponent; math.inf at zero
+    total noise (no randomness, unbounded leakage).
     """
-    _check_sigma(params, sigma_L=sigma_L, sigma_S=sigma_S)
-    total = sigma_L**2 + sigma_S**2
-    cv = params.conventions
-    if total == 0:
-        return cv.infinity_sentinel
-    return cv.c_p * total**-cv.privacy_exponent
+    return _privacy(params, _variance(params, "sigma_L", sigma_L),
+                    _variance(params, "sigma_S", sigma_S))
 
 
-def user_utility(params: GameParams, noise: NoiseProfile) -> float:
+def user_utility(params: GameParams, sigma_L, sigma_bar_other, sigma_S):
     """One user's payoff: accuracy benefit minus privacy loss minus flat
     obfuscation cost (incurred only for sigma_S > 0)."""
-    eps_g = accuracy_level(params, noise)
-    eps_p = privacy_level(params, noise.sigma_L, noise.sigma_S)
-    cost = params.C_S if noise.sigma_S > 0 else 0.0
-    return (params.A_S * math.exp(-eps_g)
-            - params.P_S * (1.0 - math.exp(-eps_p))
-            - cost)
+    return _user(params, _variance(params, "sigma_L", sigma_L),
+                 _variance(params, "sigma_bar_other", sigma_bar_other),
+                 _variance(params, "sigma_S", sigma_S))
 
 
-def learner_utility(params: GameParams, sigma_L: float, sigma_bar: float) -> float:
+def learner_utility(params: GameParams, sigma_L, sigma_bar):
     """Learner payoff when all users perturb at sigma_bar: accuracy benefit
     minus the flat promise cost (incurred only for sigma_L > 0)."""
-    eps_g = accuracy_level(
-        params, NoiseProfile(sigma_L, sigma_bar, sigma_bar))
-    cost = params.C_L if sigma_L > 0 else 0.0
-    return params.A_L * math.exp(-eps_g) - cost
+    return _learner(params, _variance(params, "sigma_L", sigma_L),
+                    _variance(params, "sigma_bar", sigma_bar))
 
 
-def privacy_pressure(params: GameParams, sigma_L: float) -> float:
+def privacy_pressure(params: GameParams, sigma_L):
     """Privacy loss P_S(1 - exp(-eps_p(sigma_L, 0))) a user suffers when
     relying on the learner's promise alone.  Equals P_S at sigma_L = 0 and
     decreases strictly to 0 as the promise grows."""
-    eps_p = privacy_level(params, sigma_L, 0.0)
-    return params.P_S * (1.0 - math.exp(-eps_p))
+    return _privacy_loss(params, _variance(params, "sigma_L", sigma_L), 0.0)
 
 
-def abstain_value(params: GameParams, sigma_L: float, sigma_bar_other: float) -> float:
+def abstain_value(params: GameParams, sigma_L, sigma_bar_other):
     """Value of not obfuscating: retained accuracy benefit plus the avoided
     flat cost, A_S exp(-eps_g(sigma_L, sigma_bar_other, 0)) + C_S."""
-    eps_g = accuracy_level(
-        params, NoiseProfile(sigma_L, sigma_bar_other, 0.0))
-    return params.A_S * math.exp(-eps_g) + params.C_S
+    return _abstain(params, _variance(params, "sigma_L", sigma_L),
+                    _variance(params, "sigma_bar_other", sigma_bar_other))

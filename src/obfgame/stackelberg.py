@@ -20,7 +20,10 @@ from .errors import (
 from .mfg import fixed_point_check, gamma
 from .model import (
     GameParams,
-    NoiseProfile,
+    _abstain,
+    _learner,
+    _privacy_loss,
+    _variance,
     kappa,
     learner_utility,
     user_utility,
@@ -117,51 +120,26 @@ def tau_hat(params: GameParams) -> float:
 
 
 @lru_cache(maxsize=32)
-def _sigma_grid(M: float, n_points: int) -> np.ndarray:
+def _sigma_grid(M: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform grid on [0, M] and its squares, both read-only."""
     grid = np.linspace(0.0, M, n_points)
+    squares = grid**2
     grid.setflags(write=False)
-    return grid
+    squares.setflags(write=False)
+    return grid, squares
 
 
-@lru_cache(maxsize=32)
-def _sigma_grid_squared(M: float, n_points: int) -> np.ndarray:
-    grid = _sigma_grid(M, n_points) ** 2
-    grid.setflags(write=False)
-    return grid
-
-
-@lru_cache(maxsize=32)
-def _positive_mask(M: float, n_points: int) -> np.ndarray:
-    mask = (_sigma_grid(M, n_points) > 0).astype(float)
-    mask.setflags(write=False)
-    return mask
-
-
-def _pressure_vec_sq(params: GameParams, sigma_sq: np.ndarray) -> np.ndarray:
-    """Privacy pressure over an array of squared promise levels.
-
-    A zero entry yields an infinite leakage exponent, which -expm1 maps to
-    exactly 1, so the sigma = 0 case needs no special branch.
-    """
-    cv = params.conventions
-    with np.errstate(divide="ignore"):
-        if cv.privacy_exponent == 1.0:
-            eps = cv.c_p / sigma_sq
-        else:
-            eps = cv.c_p * sigma_sq**-cv.privacy_exponent
-    return params.P_S * -np.expm1(-eps)
-
-
-def _abstain_zero_vec_sq(params: GameParams, sigma_sq: np.ndarray) -> np.ndarray:
-    cv = params.conventions
-    return params.A_S * np.exp(-cv.c_g * kappa(params) * sigma_sq) + params.C_S
+def _gap(params: GameParams, v_L):
+    """Privacy pressure minus the abstain value against a non-obfuscating
+    crowd, over promise variances v_L = sigma_L^2: gamma is M exactly where
+    this is positive, and tau_exact is its smallest root."""
+    return _privacy_loss(params, v_L, 0.0) - _abstain(params, v_L, 0.0)
 
 
 def _crossing_brackets(params: GameParams) -> list[tuple[float, float]]:
     """Sign-change brackets of pressure - abstain_value on a uniform scan."""
-    grid = _sigma_grid(params.M, ROOT_SCAN_INTERVALS + 1)
-    grid_sq = _sigma_grid_squared(params.M, ROOT_SCAN_INTERVALS + 1)
-    f = _pressure_vec_sq(params, grid_sq) - _abstain_zero_vec_sq(params, grid_sq)
+    grid, squares = _sigma_grid(params.M, ROOT_SCAN_INTERVALS + 1)
+    f = _gap(params, squares)
     brackets = [(float(grid[k]), float(grid[k]))
                 for k in np.nonzero(f[1:] == 0.0)[0] + 1]
     for k in np.nonzero(f[:-1] * f[1:] < 0.0)[0]:
@@ -170,54 +148,47 @@ def _crossing_brackets(params: GameParams) -> list[tuple[float, float]]:
     return brackets
 
 
-def _pressure_minus_abstain(params: GameParams, sigma: float) -> float:
-    """Scalar pressure minus abstain value along the zero-crowd axis."""
-    cv = params.conventions
-    if sigma == 0:
-        pressure = params.P_S
-    else:
-        eps_p = cv.c_p * (sigma * sigma) ** -cv.privacy_exponent
-        pressure = params.P_S * -math.expm1(-eps_p)
-    abstain = (params.A_S * math.exp(-cv.c_g * kappa(params) * sigma * sigma)
-               + params.C_S)
-    return pressure - abstain
-
-
-def _bisect(params: GameParams, lo: float, hi: float) -> float:
-    flo = _pressure_minus_abstain(params, lo)
+def _refine(params: GameParams, lo: float, hi: float) -> float:
+    """Root of _gap in a sign-change bracket by Illinois regula falsi: each
+    step cuts the bracket at the secant through its ends, and an end kept
+    twice in a row has its value halved.  Stops once the bracket is at most
+    ROOT_BISECTION_WIDTH wide or no float lies strictly inside it, and
+    returns its midpoint (or a point where _gap is exactly 0)."""
+    f_lo, f_hi = _gap(params, lo**2), _gap(params, hi**2)
+    kept = 0  # +1 when lo was kept by the last step, -1 when hi was
     while hi - lo > ROOT_BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fmid = _pressure_minus_abstain(params, mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        f_x = _gap(params, x**2)
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f_x
+            f_hi *= 0.5 if kept == -1 else 1.0
+            kept = -1
         else:
-            lo, flo = mid, fmid
+            hi, f_hi = x, f_x
+            f_lo *= 0.5 if kept == 1 else 1.0
+            kept = 1
     return 0.5 * (lo + hi)
-
-
-@lru_cache(maxsize=4096)
-def _threshold_crossings_cached(params: GameParams) -> tuple[float, ...]:
-    roots = []
-    for lo, hi in _crossing_brackets(params):
-        roots.append(lo if lo == hi else _bisect(params, lo, hi))
-    return tuple(roots)
 
 
 def threshold_crossings(params: GameParams) -> list[float]:
     """All roots of pressure - abstain_value found on (0, M], smallest first.
 
     More than one root can occur away from the default conventions (and for
-    extreme kappa); ``tau_exact`` always uses the smallest.  Results are
-    cached per parameter set (the operation is pure).
+    extreme kappa); ``tau_exact`` always uses the smallest.
     """
-    return list(_threshold_crossings_cached(params))
+    return [lo if lo == hi else _refine(params, lo, hi)
+            for lo, hi in _crossing_brackets(params)]
 
 
 def tau_exact(params: GameParams) -> float:
     """Smallest promise in (0, M) at which privacy pressure has fallen to the
-    abstain value, located by a bracketing scan plus bisection.
+    abstain value, located by a bracketing scan plus regula falsi.
 
     Raises NoCrossingError when the scan finds no sign change, reporting
     which side dominates throughout.
@@ -225,7 +196,7 @@ def tau_exact(params: GameParams) -> float:
     crossings = threshold_crossings(params)
     if not crossings:
         dominant = ("pressure"
-                    if _pressure_minus_abstain(params, params.M) > 0
+                    if _gap(params, params.M**2) > 0
                     else "abstain")
         raise NoCrossingError(
             f"no crossing of pressure and abstain value on (0, M]: "
@@ -255,10 +226,18 @@ def thresholds(params: GameParams, include_exact: bool = True) -> Thresholds:
     return Thresholds(tau_e, tau_h, kappa(params), tuple(notes))
 
 
-def induced_leader_utility(params: GameParams, sigma_L: float) -> float:
-    """Exact leader payoff at a promise, with the users at their induced
-    symmetric response gamma(sigma_L)."""
-    return learner_utility(params, sigma_L, gamma(params, sigma_L))
+def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
+                           ) -> float | np.ndarray:
+    """Exact leader payoff at a promise (or an array of promises), with the
+    users at their induced symmetric response gamma(sigma_L)."""
+    return _induced_utility(params, _variance(params, "sigma_L", sigma_L))
+
+
+def _induced_utility(params: GameParams, v_L):
+    """induced_leader_utility over promise variances; the crowd is at
+    gamma(sigma_L): M where privacy pressure exceeds the abstain value."""
+    obfuscate = _privacy_loss(params, v_L, 0.0) > _abstain(params, v_L, 0.0)
+    return _learner(params, v_L, params.M**2 * obfuscate)
 
 
 def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
@@ -271,10 +250,8 @@ def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
     promises and returns a float or an array to match; raises
     UndefinedThresholdError when tau_hat is undefined (P_S <= C_S)."""
     sigma = np.asarray(sigma_L, dtype=float)
-    cv = params.conventions
-    deterred = (params.A_L * np.exp(-cv.c_g * kappa(params) * sigma**2)
-                - params.C_L)
-    util = np.where(sigma >= tau_hat(params), deterred, -params.C_L)
+    util = np.where(sigma >= tau_hat(params),
+                    learner_utility(params, sigma_L, 0.0), -params.C_L)
     util = np.where(sigma == 0, 0.0, util)
     return float(util) if util.ndim == 0 else util
 
@@ -353,8 +330,7 @@ def _report(params: GameParams, regime: EquilibriumRegime, sigma_L: float,
         sigma_bar_dagger=sigma_bar,
         regime=regime,
         learner_utility_at_eq=learner_utility(params, sigma_L, sigma_bar),
-        user_utility_at_eq=user_utility(
-            params, NoiseProfile(sigma_L, sigma_bar, sigma_bar)),
+        user_utility_at_eq=user_utility(params, sigma_L, sigma_bar, sigma_bar),
         thresholds=thresholds(params, include_exact=include_exact),
         conditions=cond,
         boundary_reason=reason,
@@ -397,14 +373,8 @@ def _verify_leader_optimality(params: GameParams, sigma_dagger: float,
     variation (the induced curve is discontinuous at the deterrence
     threshold); anything beyond that signals a convention mismatch.
     """
-    grid = _sigma_grid(params.M, n_points)
-    grid_sq = _sigma_grid_squared(params.M, n_points)
-    pressure = _pressure_vec_sq(params, grid_sq)
-    abstain = _abstain_zero_vec_sq(params, grid_sq)
-    bar_sq = np.where(pressure > abstain, params.M**2, 0.0)
-    cv = params.conventions
-    util = (params.A_L * np.exp(-cv.c_g * kappa(params) * (grid_sq + bar_sq))
-            - params.C_L * _positive_mask(params.M, n_points))
+    grid, squares = _sigma_grid(params.M, n_points)
+    util = _induced_utility(params, squares)
     scan_max = float(util.max())
     scan_arg = float(grid[int(util.argmax())])
     cell_variation = float(np.abs(np.diff(util)).max())

@@ -14,7 +14,6 @@ from obfgame import (
     GameParams,
     GeneratorSpec,
     MfgRegime,
-    NoiseProfile,
     ResponseKind,
     abstain_value,
     best_response,
@@ -109,9 +108,8 @@ def test_criterion_2_fixed_point_soundness():
             continue
         if eq.regime is MfgRegime.BISTABLE:
             bistable += 1
-            at_zero = user_utility(params, NoiseProfile(sigma_L, 0.0, 0.0))
-            at_max = user_utility(
-                params, NoiseProfile(sigma_L, params.M, params.M))
+            at_zero = user_utility(params, sigma_L, 0.0, 0.0)
+            at_max = user_utility(params, sigma_L, params.M, params.M)
             if eq.selected != 0.0 or not at_zero > at_max:
                 failures += 1
     ok = failures == 0 and bistable > 0

@@ -224,6 +224,19 @@ class TestCascadeCommand:
             out_b / "cascade.csv").read_bytes()
 
 
+@pytest.mark.parametrize("sigma_L", ["60", "-1", "nan"])
+@pytest.mark.parametrize("command, extra", [
+    ("cascade", "cascade.seed_fraction = 0.01\n"), ("br-curve", "")])
+def test_promise_outside_domain_exits_2(tmp_path, capsys, command, extra,
+                                        sigma_L):
+    section = command.replace("-", "_")
+    cfg = write_config(tmp_path, ROW3_GAME + extra
+                       + f"{section}.sigma_L = {sigma_L}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert (f"config error: sigma_L={float(sigma_L)} outside [0, M=50.0]"
+            in capsys.readouterr().err)
+
+
 class TestValidateCommand:
     def test_small_validation_run(self, tmp_path):
         cfg = write_config(tmp_path, (

@@ -174,10 +174,6 @@ class TestErmFit:
         assert fit.objectives[0] == math.log(2.0)
         assert abs(fit.objectives[-1] - direct) <= 1e-14
 
-    def test_rejects_unknown_loss(self):
-        with pytest.raises(ValueError):
-            ErmConfig(rho=0.1, loss="hinge")
-
 
 class TestReferenceClassifier:
     def test_seed_stability(self):

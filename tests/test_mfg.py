@@ -7,7 +7,6 @@ import pytest
 from obfgame import (
     GameParams,
     MfgRegime,
-    NoiseProfile,
     ResponseKind,
     best_response,
     best_response_oracle,
@@ -16,9 +15,7 @@ from obfgame import (
     fixed_point_check,
     gamma,
     mfg_equilibria,
-    user_utility,
 )
-from obfgame.mfg import _user_utility_grid
 
 
 def make_params(**overrides):
@@ -87,20 +84,6 @@ class TestBestResponseOracle:
         points = best_response_oracle(params, 0.0, 0.0, 10_000)
         assert best_response(params, 0.0, 0.0).kind is ResponseKind.MAX
         assert all(0.0 < p < params.M for p in points)
-
-    def test_matches_scalar_utility(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            params = make_params(
-                A_S=rng.uniform(0.3, 2.0), P_S=rng.uniform(0.2, 5.0),
-                C_S=rng.uniform(0.0, 1.5), N=int(rng.integers(1, 300)))
-            sigma_L = rng.uniform(0, params.M)
-            sigma_bar = rng.uniform(0, params.M)
-            grid = rng.uniform(0, params.M, size=9)
-            vec = _user_utility_grid(params, sigma_L, sigma_bar, grid)
-            scalar = [user_utility(params, NoiseProfile(sigma_L, sigma_bar, s))
-                      for s in grid]
-            assert np.allclose(vec, scalar, rtol=1e-12, atol=1e-15)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):

@@ -50,11 +50,11 @@ class TestKappa:
 
 class TestAccuracyLevel:
     def test_zero_noise(self):
-        assert accuracy_level(make_params(), NoiseProfile(0, 0, 0)) == 0.0
+        assert accuracy_level(make_params(), 0, 0, 0) == 0.0
 
     def test_learner_noise_only(self):
         params = make_params(rho=1.0, N=100)
-        assert accuracy_level(params, NoiseProfile(1, 0, 0)) == pytest.approx(
+        assert accuracy_level(params, 1, 0, 0) == pytest.approx(
             0.01, rel=1e-12)
 
     def test_symmetric_profile_collapses(self):
@@ -64,19 +64,19 @@ class TestAccuracyLevel:
             params = random_params(rng)
             s = rng.uniform(0, params.M)
             sigma_L = rng.uniform(0, params.M)
-            got = accuracy_level(params, NoiseProfile(sigma_L, s, s))
+            got = accuracy_level(params, sigma_L, s, s)
             want = params.conventions.c_g * kappa(params) * (sigma_L**2 + s**2)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_monotone_in_each_argument(self):
         params = make_params()
-        base = accuracy_level(params, NoiseProfile(1, 1, 1))
+        base = accuracy_level(params, 1, 1, 1)
         for bumped in [(2, 1, 1), (1, 2, 1), (1, 1, 2)]:
-            assert accuracy_level(params, NoiseProfile(*bumped)) >= base
+            assert accuracy_level(params, *bumped) >= base
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
-            accuracy_level(make_params(M=1.0), NoiseProfile(2.0, 0, 0))
+            accuracy_level(make_params(M=1.0), 2.0, 0, 0)
 
 
 class TestPrivacyLevel:
@@ -109,30 +109,32 @@ class TestUserUtility:
     def test_zero_noise(self):
         params = make_params(A_S=1.0, P_S=2.0)
         # full accuracy, full privacy loss, no obfuscation cost
-        assert user_utility(params, NoiseProfile(0, 0, 0)) == pytest.approx(
+        assert user_utility(params, 0, 0, 0) == pytest.approx(
             params.A_S - params.P_S, rel=1e-15)
 
     def test_promise_only(self):
         params = make_params(A_S=1.0, P_S=2.0, C_S=0.5, rho=1.0, N=100)
-        got = user_utility(params, NoiseProfile(1, 0, 0))
+        got = user_utility(params, 1, 0, 0)
         assert got == pytest.approx(-0.2741912839079472, rel=1e-12)
 
     def test_promise_plus_own_noise(self):
         params = make_params(A_S=1.0, P_S=2.0, C_S=0.5, rho=1.0, N=100)
-        got = user_utility(params, NoiseProfile(1, 0, 1))
+        got = user_utility(params, 1, 0, 1)
         assert got == pytest.approx(-0.2969878468588558, rel=1e-12)
 
     def test_recomposition_from_primitives(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             params = random_params(rng)
-            noise = NoiseProfile(*(rng.uniform(0, params.M) for _ in range(3)))
-            eps_g = accuracy_level(params, noise)
-            eps_p = privacy_level(params, noise.sigma_L, noise.sigma_S)
+            sigma_L, sigma_bar, sigma_S = (rng.uniform(0, params.M)
+                                           for _ in range(3))
+            eps_g = accuracy_level(params, sigma_L, sigma_bar, sigma_S)
+            eps_p = privacy_level(params, sigma_L, sigma_S)
             want = (params.A_S * math.exp(-eps_g)
                     - params.P_S * (1 - math.exp(-eps_p))
-                    - (params.C_S if noise.sigma_S > 0 else 0.0))
-            assert user_utility(params, noise) == pytest.approx(want, rel=1e-12)
+                    - (params.C_S if sigma_S > 0 else 0.0))
+            assert user_utility(params, sigma_L, sigma_bar, sigma_S) == (
+                pytest.approx(want, rel=1e-12))
 
 
 class TestLearnerUtility:
@@ -156,8 +158,7 @@ class TestLearnerUtility:
             params = random_params(rng)
             sigma_L = rng.uniform(0, params.M)
             sigma_bar = rng.uniform(0, params.M)
-            eps_g = accuracy_level(
-                params, NoiseProfile(sigma_L, sigma_bar, sigma_bar))
+            eps_g = accuracy_level(params, sigma_L, sigma_bar, sigma_bar)
             want = (params.A_L * math.exp(-eps_g)
                     - (params.C_L if sigma_L > 0 else 0.0))
             assert learner_utility(params, sigma_L, sigma_bar) == pytest.approx(
@@ -208,6 +209,54 @@ class TestAbstainValue:
             value = abstain_value(params, a, b)
             # the open lower bound closes under fp underflow of A_S * exp(-x)
             assert params.C_S <= value <= params.A_S + params.C_S
+
+
+class TestArrayForms:
+    # each public law with the number of deviations it takes
+    LAWS = ((accuracy_level, 3), (privacy_level, 2), (user_utility, 3),
+            (learner_utility, 2), (privacy_pressure, 1), (abstain_value, 2))
+
+    def test_matches_float_evaluation(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            params = make_params(
+                A_S=rng.uniform(0.3, 2.0), P_S=rng.uniform(0.2, 5.0),
+                C_S=rng.uniform(0.0, 1.5), C_L=rng.uniform(0.0, 2.0),
+                rho=rng.uniform(0.5, 2.0), N=int(rng.integers(1, 300)),
+                M=rng.uniform(5.0, 80.0),
+                conventions=ModelConventions(
+                    c_g=rng.uniform(0.5, 2.0), c_p=rng.uniform(0.5, 2.0),
+                    privacy_exponent=float(rng.choice([0.5, 1.0]))))
+            for law, arity in self.LAWS:
+                # zeros in every slot at once (zero total noise) and at M
+                args = [np.concatenate(([0.0, params.M],
+                                        rng.uniform(0, params.M, 7)))
+                        for _ in range(arity)]
+                want = [law(params, *(float(a[i]) for a in args))
+                        for i in range(9)]
+                assert all(type(w) is float for w in want), law.__name__
+                got = law(params, *args)
+                assert got.shape == (9,)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15,
+                                           err_msg=law.__name__)
+                if arity == 1:
+                    continue
+                # a float beside arrays broadcasts against them
+                sigma_L = float(args[0][4])
+                got = law(params, sigma_L, *args[1:])
+                want = [law(params, sigma_L, *(float(a[i]) for a in args[1:]))
+                        for i in range(9)]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15,
+                                           err_msg=law.__name__)
+
+    @pytest.mark.parametrize("bad", [-1.0, 60.0, math.nan])
+    def test_every_entry_is_checked(self, bad):
+        params = make_params(M=50.0)
+        with pytest.raises(ValueError, match=r"sigma_bar_other=.* outside "
+                                             r"\[0, M=50\.0\]"):
+            abstain_value(params, 1.0, np.array([0.0, 3.0, bad]))
+        with pytest.raises(ValueError, match="sigma_L="):
+            privacy_pressure(params, bad)
 
 
 class TestValidation:

@@ -1,8 +1,13 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import obfgame
 from obfgame import (
     EquilibriumRegime,
     GameParams,
@@ -128,6 +133,29 @@ class TestTauExact:
         assert len(crossings) == 3
         assert crossings == sorted(crossings)
         assert tau_exact(params) == crossings[0]
+
+    def test_crossing_where_an_ulp_exceeds_the_width(self):
+        # above sigma ~ 8192 one ulp is wider than ROOT_BISECTION_WIDTH, so
+        # refining the third bracket ends only when no float lies inside it;
+        # a subprocess keeps a refinement that never ends from hanging the
+        # suite
+        script = (
+            "from obfgame import GameParams, abstain_value, privacy_pressure,"
+            " threshold_crossings\n"
+            "p = GameParams(A_L=2, C_L=1, A_S=0.5, P_S=1, C_S=1e-8, rho=1,"
+            " N=1000, M=20000)\n"
+            "print([(r, privacy_pressure(p, r) - abstain_value(p, r, 0.0))"
+            " for r in threshold_crossings(p)])\n")
+        src = os.path.dirname(os.path.dirname(obfgame.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        roots = ast.literal_eval(done.stdout)
+        assert [r for r, _ in roots] == pytest.approx(
+            [1.2023751385, 91.297558932, 9999.999975], rel=1e-9)
+        assert all(abs(residual) <= 1e-9 for _, residual in roots)
 
 
 class TestThresholdsRecord:
