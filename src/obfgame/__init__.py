@@ -17,18 +17,15 @@ from .erm import (
     ExcessRisk,
     FitResult,
     GeneratorSpec,
-    NoiseProfile,
     PerturbationSpec,
     ScalingLevel,
     ScalingReport,
     erm_fit,
     excess_risk,
     generate_synthetic,
-    levels_from_aggregates,
     perturb_dataset,
     reference_classifier,
     scaling_experiment,
-    variance_aggregate,
 )
 from .errors import (
     ConfigError,

@@ -201,11 +201,9 @@ def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
     gen = erm.GeneratorSpec(int(config.get("experiment.erm.d")),
                             float(config.get("experiment.erm.separation")))
     erm_config = erm.ErmConfig(rho=float(config.get("experiment.erm.rho")))
-    n_records = int(config.get("experiment.erm.n"))
-    levels = erm.levels_from_aggregates(
-        config.get("experiment.erm.levels"), n_records)
     report = erm.scaling_experiment(
-        gen, n_records, erm_config, levels,
+        gen, int(config.get("experiment.erm.n")), erm_config,
+        config.get("experiment.erm.levels"),
         replications=int(config.get("experiment.erm.replications")),
         rng_seed=rng_seed,
         n_eval=int(config.get("experiment.erm.n_eval")),

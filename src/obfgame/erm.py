@@ -15,10 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateRegressionError
-from .model import _variance_aggregate
 
 __all__ = [
-    "NoiseProfile",
     "Dataset",
     "GeneratorSpec",
     "PerturbationSpec",
@@ -33,27 +31,8 @@ __all__ = [
     "erm_fit",
     "reference_classifier",
     "excess_risk",
-    "variance_aggregate",
-    "levels_from_aggregates",
     "scaling_experiment",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseProfile:
-    """One evaluation point of the noise landscape: learner noise std
-    sigma_L, root-mean deviation sigma_bar_other of the other users, and own
-    deviation sigma_S."""
-
-    sigma_L: float
-    sigma_bar_other: float
-    sigma_S: float
-
-    def __post_init__(self):
-        for name in ("sigma_L", "sigma_bar_other", "sigma_S"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass
@@ -93,8 +72,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.separation < 0:
-            raise ValueError("separation must be non-negative")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            raise ValueError(f"separation must be finite and non-negative, "
+                             f"got {self.separation!r}")
 
 
 @dataclass
@@ -153,7 +133,6 @@ class ExcessRisk:
 @dataclass(frozen=True)
 class ScalingLevel:
     index: int
-    profile: NoiseProfile
     v: float
     mean_excess_risk: float
     std_error: float
@@ -282,11 +261,11 @@ def erm_fit(data: Dataset, config: ErmConfig) -> FitResult:
 
 
 def reference_classifier(gen: GeneratorSpec, config: ErmConfig,
-                         n_ref: int = 100_000, rng_seed: int = 0) -> Classifier:
+                         n_ref: int = 100_000, rng_seed: int = 0) -> FitResult:
     """Approximate the population-optimal classifier by fitting one large
-    clean sample from the generator."""
+    clean sample from the generator; the fit carries its convergence."""
     data = generate_synthetic(n_ref, gen.d, gen.separation, rng_seed)
-    return erm_fit(data, config).classifier
+    return erm_fit(data, config)
 
 
 def excess_risk(f_d: Classifier, f_star: Classifier, config: ErmConfig,
@@ -307,42 +286,18 @@ def excess_risk(f_d: Classifier, f_star: Classifier, config: ErmConfig,
     return ExcessRisk(estimate, std_error, n_eval)
 
 
-def variance_aggregate(profile: NoiseProfile, n_records: int) -> float:
-    """Weighted noise-variance sum v = sigma_L^2 + ((N-1)/N) sigma_bar^2
-    + (1/N) sigma_S^2 that the excess risk is regressed against."""
-    return _variance_aggregate(n_records, profile.sigma_L**2,
-                               profile.sigma_bar_other**2, profile.sigma_S**2)
-
-
-def levels_from_aggregates(aggregates: Sequence[float],
-                           n_records: int) -> tuple[NoiseProfile, ...]:
-    """Noise profiles carrying each aggregate v entirely on the other-users
-    coordinate: (0, sqrt(v N / (N-1)), 0)."""
-    if n_records < 2:
-        raise ValueError("n_records must be >= 2")
-    scale = n_records / (n_records - 1)
-    return tuple(NoiseProfile(0.0, math.sqrt(v * scale), 0.0)
-                 for v in aggregates)
-
-
-def _per_user_stds(profile: NoiseProfile, n_records: int,
+def _per_user_stds(v: float, n_records: int,
                    carriers: int | None) -> np.ndarray:
-    """Realize a profile as per-user stds: the tracked user (row 0) at
-    sigma_S, the others' variance mass either spread evenly (carriers=None)
-    or concentrated on the first ``carriers`` other rows.  Either layout
-    leaves the mean of the others' variances, and hence the aggregate v,
-    unchanged."""
-    stds = np.zeros(n_records)
-    stds[0] = profile.sigma_S
-    if n_records == 1:
-        return stds
-    mass = (n_records - 1) * profile.sigma_bar_other**2
+    """Per-user stds carrying the aggregate v on the other users' noise: the
+    variance mass v n spread evenly over the other n - 1 records
+    (carriers=None) or over the first ``carriers`` of them.  The tracked user
+    (row 0) adds no noise, so v = sum(stds^2) / n under either layout."""
     if carriers is None:
-        stds[1:] = profile.sigma_bar_other
-    else:
-        if not 1 <= carriers <= n_records - 1:
-            raise ValueError("carriers must lie in [1, n_records - 1]")
-        stds[1:carriers + 1] = math.sqrt(mass / carriers)
+        carriers = n_records - 1
+    elif not 1 <= carriers <= n_records - 1:
+        raise ValueError("carriers must lie in [1, n_records - 1]")
+    stds = np.zeros(n_records)
+    stds[1:carriers + 1] = math.sqrt(v * n_records / carriers)
     return stds
 
 
@@ -354,12 +309,14 @@ def _rank(values: np.ndarray) -> np.ndarray:
 
 
 def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
-                       noise_levels: Sequence[NoiseProfile],
+                       aggregates: Sequence[float],
                        replications: int, rng_seed: int,
                        n_eval: int = 8000, n_ref: int = 100_000,
                        carriers: int | None = None) -> ScalingReport:
-    """Measure mean excess risk per noise level and regress it on the
-    variance aggregate v.
+    """Measure mean excess risk per variance aggregate v and regress it on v.
+
+    Each level carries its v on the other users' noise (see
+    ``_per_user_stds``); the learner and the tracked user add none.
 
     Every (level, replication) task draws its own training data, noise, and
     evaluation sample from seeds derived independently of the other tasks.
@@ -367,30 +324,34 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
     determination, the rank correlation between v and the level means, and
     how many fits (the reference fit included) stopped unconverged.
     """
-    if len(noise_levels) < 4:
+    if n_records < 2:
+        raise ValueError("n_records must be >= 2")
+    if len(aggregates) < 4:
         raise ValueError("at least 4 noise levels are required")
     if replications < 10:
         raise ValueError("replications must be >= 10")
-    v_values = np.array([variance_aggregate(p, n_records) for p in noise_levels])
+    v_values = np.array(aggregates, dtype=float)
+    for v in v_values.tolist():
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"variance aggregate {v!r} must be finite and "
+                             "non-negative")
     if np.ptp(v_values) == 0.0:
         raise DegenerateRegressionError(
             "all noise levels share the same variance aggregate")
 
-    # the reference fit itself, not reference_classifier, so that its
-    # convergence is counted with the others
-    reference = erm_fit(generate_synthetic(n_ref, gen.d, gen.separation,
-                                           _task_seed(rng_seed, 0)), config)
+    reference = reference_classifier(gen, config, n_ref,
+                                     _task_seed(rng_seed, 0))
     f_star = reference.classifier
     levels = []
-    for li, profile in enumerate(noise_levels):
-        stds = _per_user_stds(profile, n_records, carriers)
+    for li, v in enumerate(v_values.tolist()):
+        stds = _per_user_stds(v, n_records, carriers)
         estimates = np.empty(replications)
         unconverged = 0
         for rep in range(replications):
             data = generate_synthetic(n_records, gen.d, gen.separation,
                                       _task_seed(rng_seed, 1, li, rep))
             noisy = perturb_dataset(data, PerturbationSpec(
-                profile.sigma_L, stds, _task_seed(rng_seed, 2, li, rep)))
+                0.0, stds, _task_seed(rng_seed, 2, li, rep)))
             fit = erm_fit(noisy, config)
             unconverged += not fit.converged
             estimates[rep] = excess_risk(
@@ -398,8 +359,7 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
                 _task_seed(rng_seed, 3, li, rep)).estimate
         levels.append(ScalingLevel(
             index=li,
-            profile=profile,
-            v=float(v_values[li]),
+            v=v,
             mean_excess_risk=float(estimates.mean()),
             std_error=float(estimates.std(ddof=1) / math.sqrt(replications)),
             replications=replications,

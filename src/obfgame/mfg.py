@@ -89,14 +89,15 @@ class CascadeTrace:
     final_mean_variance: float
 
 
-def _response(params: GameParams, sigma_L: float, sigma_bar_other, tol: float):
+def _response(params: GameParams, sigma_L: float, sigma_bar_other):
     """The corner decision rule, elementwise over crowd levels: the masks
     (obfuscate, abstain), true where the promise-only privacy loss exceeds,
-    or falls short of, the value of abstaining by more than tol.  Neither
-    holds where the user is indifferent."""
+    or falls short of, the value of abstaining by more than
+    INDIFFERENCE_TOL.  Neither holds where the user is indifferent."""
     pressure = privacy_pressure(params, sigma_L)
     abstain = abstain_value(params, sigma_L, sigma_bar_other)
-    return pressure > abstain + tol, pressure < abstain - tol
+    return (pressure > abstain + INDIFFERENCE_TOL,
+            pressure < abstain - INDIFFERENCE_TOL)
 
 
 def _corner(params: GameParams, obfuscate: bool, abstain: bool) -> BestResponse:
@@ -107,12 +108,12 @@ def _corner(params: GameParams, obfuscate: bool, abstain: bool) -> BestResponse:
     return BestResponse(ResponseKind.INDIFFERENT, (0.0, params.M))
 
 
-def best_response(params: GameParams, sigma_L: float, sigma_bar_other: float,
-                  tol: float = INDIFFERENCE_TOL) -> BestResponse:
+def best_response(params: GameParams, sigma_L: float,
+                  sigma_bar_other: float) -> BestResponse:
     """Corner best response: abstain when the promise-only privacy loss falls
     short of the value of abstaining, obfuscate fully when it exceeds it,
-    indifferent within ``tol`` of the crossing."""
-    return _corner(params, *_response(params, sigma_L, sigma_bar_other, tol))
+    indifferent within INDIFFERENCE_TOL of the crossing."""
+    return _corner(params, *_response(params, sigma_L, sigma_bar_other))
 
 
 def best_response_oracle(params: GameParams, sigma_L: float,
@@ -194,7 +195,7 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     # The root is capped at M, which it can exceed by rounding at k = N - 1.
     # None marks indifference (the agent keeps its action), else True for M.
     crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
-    obfuscate, abstain = _response(params, sigma_L, crowd, INDIFFERENCE_TOL)
+    obfuscate, abstain = _response(params, sigma_L, crowd)
     targets = [False if a else True if o else None
                for o, a in zip(obfuscate.tolist(), abstain.tolist())]
 
@@ -246,6 +247,6 @@ def br_curve(params: GameParams, sigma_L: float,
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     levels = np.linspace(0.0, params.M, n_points)
-    obfuscate, abstain = _response(params, sigma_L, levels, INDIFFERENCE_TOL)
+    obfuscate, abstain = _response(params, sigma_L, levels)
     return [(s, _corner(params, o, a)) for s, o, a in
             zip(levels.tolist(), obfuscate.tolist(), abstain.tolist())]

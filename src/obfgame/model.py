@@ -125,14 +125,10 @@ def _exp(x):
 
 # One kernel per law, over unchecked variances v = sigma^2 (floats or arrays).
 
-def _variance_aggregate(n: int, v_L, v_bar_other, v_S):
-    """The noise one record's loss sees among n records."""
-    return v_L + ((n - 1) / n) * v_bar_other + v_S / n
-
-
 def _accuracy(params: GameParams, v_L, v_bar_other, v_S):
+    n = params.N
     return (params.conventions.c_g * kappa(params)
-            * _variance_aggregate(params.N, v_L, v_bar_other, v_S))
+            * (v_L + ((n - 1) / n) * v_bar_other + v_S / n))
 
 
 def _privacy(params: GameParams, v_L, v_S):

@@ -365,15 +365,15 @@ def classify_regime(params: GameParams) -> EquilibriumReport:
                    include_exact=False)
 
 
-def _verify_leader_optimality(params: GameParams, sigma_dagger: float,
-                              n_points: int) -> None:
+def _verify_leader_optimality(params: GameParams,
+                              sigma_dagger: float) -> None:
     """Check the promise against a grid scan of the exact induced utility.
 
     The scan may beat the closed form by up to the largest one-cell utility
     variation (the induced curve is discontinuous at the deterrence
     threshold); anything beyond that signals a convention mismatch.
     """
-    grid, squares = _sigma_grid(params.M, n_points)
+    grid, squares = _sigma_grid(params.M, EQ9_GRID_POINTS)
     util = _induced_utility(params, squares)
     scan_max = float(util.max())
     scan_arg = float(grid[int(util.argmax())])
@@ -387,8 +387,7 @@ def _verify_leader_optimality(params: GameParams, sigma_dagger: float,
             scanned=(scan_arg, scan_max))
 
 
-def pbne_solve(params: GameParams,
-               eq9_grid: int = EQ9_GRID_POINTS) -> EquilibriumReport:
+def pbne_solve(params: GameParams) -> EquilibriumReport:
     """Solve the full bi-level game and verify both equilibrium conditions.
 
     The follower condition is checked through fixed_point_check on the
@@ -404,7 +403,7 @@ def pbne_solve(params: GameParams,
             f"induced response {sigma_bar} is not a best-response fixed "
             f"point at promise {sigma_dagger}",
             closed_form=(sigma_dagger, sigma_bar), scanned=(sigma_dagger, sigma_bar))
-    _verify_leader_optimality(params, sigma_dagger, eq9_grid)
+    _verify_leader_optimality(params, sigma_dagger)
     return _report(params,
                    regime if reason is None else EquilibriumRegime.BOUNDARY,
                    sigma_dagger, sigma_bar, cond,

@@ -25,7 +25,6 @@ from obfgame import (
     gaussian_epsilon,
     kappa,
     leader_utility_piecewise,
-    levels_from_aggregates,
     mfg_equilibria,
     pbne_solve,
     privacy_pressure,
@@ -223,9 +222,9 @@ def test_criterion_6_excess_risk_scaling():
     config = ErmConfig(rho=0.1)
     reports = {}
     for n_records in (500, 1000):
-        levels = levels_from_aggregates([0.0, 0.5, 1.0, 2.0, 4.0], n_records)
         reports[n_records] = scaling_experiment(
-            gen, n_records, config, levels, replications=50, rng_seed=7,
+            gen, n_records, config, [0.0, 0.5, 1.0, 2.0, 4.0],
+            replications=50, rng_seed=7,
             n_eval=8000, n_ref=100_000, carriers=25)
     base, doubled = reports[500], reports[1000]
     ratio = doubled.slope / base.slope

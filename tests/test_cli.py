@@ -1,8 +1,12 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import obfgame
 from obfgame import GameParams, classify_regime, erm, tau_hat
 from obfgame.cli import main
 from obfgame.config import parse_config
@@ -252,6 +256,9 @@ class TestValidateCommand:
         assert erm_lines[0] == ("level_index,v,mean_excess_risk,std_error,"
                                 "replications")
         assert len(erm_lines) == 6
+        # the configured aggregates, printed as configured
+        assert [line.split(",")[1] for line in erm_lines[1:]] == [
+            "0.0", "0.5", "1.0", "2.0", "4.0"]
         dp_lines = (out / "dp_scaling.csv").read_text().splitlines()
         assert dp_lines[0] == ("pair_index,sigma_L,sigma_S,combined_std,"
                                "epsilon,valid")
@@ -279,6 +286,33 @@ class TestValidateCommand:
         assert erm_line.startswith("erm_scaling: FAIL (")
         assert erm_line.endswith(", unconverged=51)")
         assert "dp_scaling: PASS" in summary
+
+    @pytest.mark.parametrize("entry, named", [
+        ("experiment.erm.levels = 0, nan, 1, 2", "variance aggregate nan"),
+        ("experiment.erm.levels = 0, -1, 1, 2", "variance aggregate -1.0"),
+        ("experiment.erm.levels = 0, inf, 1, 2", "variance aggregate inf"),
+        ("experiment.erm.separation = nan", "separation must be finite and "
+                                            "non-negative, got nan"),
+        ("experiment.erm.separation = inf", "separation must be finite and "
+                                            "non-negative, got inf"),
+    ])
+    def test_bad_experiment_value_exits_2(self, tmp_path, entry, named):
+        # a subprocess keeps a run that never ends from hanging the suite
+        cfg = write_config(tmp_path, (
+            "experiment.erm.n = 100\n"
+            "experiment.erm.replications = 10\n"
+            "experiment.erm.n_ref = 2000\n"
+            "experiment.erm.n_eval = 1000\n"
+            f"{entry}\n"))
+        src = os.path.dirname(os.path.dirname(obfgame.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "obfgame.cli", "validate", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert f"config error: {named}" in done.stderr
 
     def test_too_few_replications_refused(self, tmp_path):
         cfg = write_config(tmp_path, "experiment.erm.replications = 1\n")

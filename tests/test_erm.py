@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,16 +12,13 @@ from obfgame import (
     DegenerateRegressionError,
     ErmConfig,
     GeneratorSpec,
-    NoiseProfile,
     PerturbationSpec,
     erm_fit,
     excess_risk,
     generate_synthetic,
-    levels_from_aggregates,
     perturb_dataset,
     reference_classifier,
     scaling_experiment,
-    variance_aggregate,
 )
 from obfgame.erm import _per_user_stds, _task_seed
 
@@ -54,6 +52,11 @@ class TestGenerateSynthetic:
             generate_synthetic(1, 2, 1.0, 0)
         with pytest.raises(ValueError):
             generate_synthetic(10, 0, 1.0, 0)
+
+    @pytest.mark.parametrize("separation", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_separation(self, separation):
+        with pytest.raises(ValueError, match=re.escape(f"got {separation!r}")):
+            GeneratorSpec(2, separation)
 
 
 class TestPerturbDataset:
@@ -136,12 +139,11 @@ class TestErmFit:
     def test_known_stalls_converge(self, seed, n_records, level, rep):
         """Fits of acceptance 6's experiment (25 carriers, rho = 0.1) that
         earlier line searches left at a gradient norm of 1.14e-8."""
-        profile = levels_from_aggregates([0.0, 0.5, 1.0, 2.0, 4.0],
-                                         n_records)[level]
+        v = [0.0, 0.5, 1.0, 2.0, 4.0][level]
         data = generate_synthetic(n_records, 5, 1.0,
                                   _task_seed(seed, 1, level, rep))
         noisy = perturb_dataset(data, PerturbationSpec(
-            profile.sigma_L, _per_user_stds(profile, n_records, 25),
+            0.0, _per_user_stds(v, n_records, 25),
             _task_seed(seed, 2, level, rep)))
         config = ErmConfig(rho=0.1)
         fit = erm_fit(noisy, config)
@@ -179,8 +181,10 @@ class TestReferenceClassifier:
     def test_seed_stability(self):
         gen = GeneratorSpec(5, 2.0)
         config = ErmConfig(rho=0.01, grad_tolerance=1e-9)
-        f1 = reference_classifier(gen, config, n_ref=100_000, rng_seed=67)
-        f2 = reference_classifier(gen, config, n_ref=100_000, rng_seed=71)
+        f1 = reference_classifier(gen, config, n_ref=100_000,
+                                  rng_seed=67).classifier
+        f2 = reference_classifier(gen, config, n_ref=100_000,
+                                  rng_seed=71).classifier
         rel = (np.linalg.norm(f1.weights - f2.weights)
                / np.linalg.norm(f1.weights))
         assert rel <= 0.02
@@ -188,7 +192,7 @@ class TestReferenceClassifier:
     def test_signal_direction(self):
         gen = GeneratorSpec(1, 2.0)
         f = reference_classifier(gen, ErmConfig(rho=0.01), n_ref=50_000,
-                                 rng_seed=73)
+                                 rng_seed=73).classifier
         assert f.weights[0] > 0
 
 
@@ -203,7 +207,8 @@ class TestExcessRisk:
     def test_clean_fit_is_near_optimal(self):
         gen = GeneratorSpec(5, 1.0)
         config = ErmConfig(rho=0.1, grad_tolerance=1e-9)
-        f_star = reference_classifier(gen, config, n_ref=100_000, rng_seed=83)
+        f_star = reference_classifier(gen, config, n_ref=100_000,
+                                      rng_seed=83).classifier
         data = generate_synthetic(50_000, 5, 1.0, rng_seed=89)
         f_d = erm_fit(data, config).classifier
         result = excess_risk(f_d, f_star, config, gen, n_eval=20_000,
@@ -214,7 +219,8 @@ class TestExcessRisk:
     def test_worse_classifier_scores_positive(self):
         gen = GeneratorSpec(3, 2.0)
         config = ErmConfig(rho=0.1)
-        f_star = reference_classifier(gen, config, n_ref=50_000, rng_seed=101)
+        f_star = reference_classifier(gen, config, n_ref=50_000,
+                                      rng_seed=101).classifier
         off = Classifier(f_star.weights + np.array([1.0, -1.0, 0.5]))
         result = excess_risk(off, f_star, config, gen, n_eval=10_000,
                              rng_seed=103)
@@ -227,29 +233,13 @@ class TestExcessRisk:
                         n_eval=100, rng_seed=0)
 
 
-class TestVarianceAggregate:
-    def test_weights(self):
-        profile = NoiseProfile(1.0, 2.0, 3.0)
-        v = variance_aggregate(profile, 10)
-        assert v == pytest.approx(1.0 + 0.9 * 4.0 + 0.1 * 9.0, rel=1e-12)
-
-    def test_levels_round_trip(self):
-        targets = [0.0, 0.5, 1.0, 2.0, 4.0]
-        for n in (2, 100, 501):
-            levels = levels_from_aggregates(targets, n)
-            for target, profile in zip(targets, levels):
-                assert variance_aggregate(profile, n) == pytest.approx(
-                    target, rel=1e-12, abs=1e-15)
-
-
 class TestScalingExperiment:
     def test_moderate_run_shows_linear_scaling(self):
         gen = GeneratorSpec(5, 1.0)
         config = ErmConfig(rho=0.1)
-        levels = levels_from_aggregates([0.0, 0.5, 1.0, 2.0, 4.0], 300)
         report = scaling_experiment(
-            gen, 300, config, levels, replications=15, rng_seed=107,
-            n_eval=4000, n_ref=30_000, carriers=25)
+            gen, 300, config, [0.0, 0.5, 1.0, 2.0, 4.0], replications=15,
+            rng_seed=107, n_eval=4000, n_ref=30_000, carriers=25)
         assert report.slope > 0
         assert report.r_squared >= 0.8
         assert report.rank_correlation == 1.0
@@ -261,8 +251,7 @@ class TestScalingExperiment:
     def test_counts_unconverged_fits(self):
         gen = GeneratorSpec(3, 1.0)
         config = ErmConfig(rho=0.1, max_iters=1)
-        levels = levels_from_aggregates([0.0, 0.5, 1.0, 2.0], 100)
-        report = scaling_experiment(gen, 100, config, levels,
+        report = scaling_experiment(gen, 100, config, [0.0, 0.5, 1.0, 2.0],
                                     replications=10, rng_seed=5,
                                     n_eval=1000, n_ref=2000)
         assert [lv.unconverged for lv in report.levels] == [10] * 4
@@ -271,31 +260,40 @@ class TestScalingExperiment:
     def test_requires_enough_levels_and_replications(self):
         gen = GeneratorSpec(3, 1.0)
         config = ErmConfig(rho=0.1)
-        levels = levels_from_aggregates([0.0, 1.0, 2.0], 100)
         with pytest.raises(ValueError):
-            scaling_experiment(gen, 100, config, levels, replications=10,
-                               rng_seed=0)
-        four = levels_from_aggregates([0.0, 0.5, 1.0, 2.0], 100)
+            scaling_experiment(gen, 100, config, [0.0, 1.0, 2.0],
+                               replications=10, rng_seed=0)
+        four = [0.0, 0.5, 1.0, 2.0]
         with pytest.raises(ValueError):
             scaling_experiment(gen, 100, config, four, replications=1,
                                rng_seed=0)
 
+    @pytest.mark.parametrize("n_records, aggregates, message", [
+        (100, [0.0, -1.0, 1.0, 2.0], "variance aggregate -1.0 "),
+        (100, [0.0, math.nan, 1.0, 2.0], "variance aggregate nan "),
+        (100, [0.0, 1.0, 2.0, math.inf], "variance aggregate inf "),
+        (1, [0.0, 0.5, 1.0, 2.0], "n_records must be >= 2"),
+    ])
+    def test_rejects_bad_aggregates_and_sizes(self, n_records, aggregates,
+                                              message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scaling_experiment(GeneratorSpec(3, 1.0), n_records,
+                               ErmConfig(rho=0.1), aggregates,
+                               replications=10, rng_seed=0, n_eval=1000,
+                               n_ref=2000)
+
     def test_degenerate_levels_rejected(self):
         gen = GeneratorSpec(3, 1.0)
         config = ErmConfig(rho=0.1)
-        levels = levels_from_aggregates([0.0, 0.0, 0.0, 0.0], 100)
         with pytest.raises(DegenerateRegressionError):
-            scaling_experiment(gen, 100, config, levels, replications=10,
-                               rng_seed=0)
+            scaling_experiment(gen, 100, config, [0.0, 0.0, 0.0, 0.0],
+                               replications=10, rng_seed=0)
 
     def test_carrier_layout_preserves_aggregate(self):
-        profile = NoiseProfile(0.0, 2.0, 1.5)
         for carriers in (None, 1, 10, 99):
-            stds = _per_user_stds(profile, 100, carriers)
-            assert stds[0] == profile.sigma_S
-            others_mean = float(np.mean(stds[1:] ** 2))
-            assert others_mean == pytest.approx(profile.sigma_bar_other**2,
-                                                rel=1e-12)
+            stds = _per_user_stds(3.96, 100, carriers)
+            assert stds[0] == 0.0
+            assert float(np.mean(stds**2)) == pytest.approx(3.96, rel=1e-12)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

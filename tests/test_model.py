@@ -6,7 +6,6 @@ import pytest
 from obfgame import (
     GameParams,
     ModelConventions,
-    NoiseProfile,
     abstain_value,
     accuracy_level,
     kappa,
@@ -289,10 +288,6 @@ class TestValidation:
             ModelConventions(c_g=0.0)
         with pytest.raises(ValueError):
             ModelConventions(privacy_exponent=0.7)
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseProfile(-1.0, 0.0, 0.0)
 
     def test_numeric_fields_normalized(self):
         params = make_params(N=10, M=50)

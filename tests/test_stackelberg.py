@@ -393,7 +393,7 @@ class TestPbneSolve:
         params = make_params(A_L=2.0, C_L=0.0, A_S=1.0, P_S=1.2, C_S=1.0,
                              rho=1.0, N=10, M=10.0)
         with pytest.raises(InconsistencyError) as info:
-            _verify_leader_optimality(params, 5.0, 10_000)
+            _verify_leader_optimality(params, 5.0)
         sigma, utility = info.value.scanned
         assert sigma == 0.0 and utility == pytest.approx(2.0, rel=1e-12)
         assert info.value.closed_form[0] == 5.0
