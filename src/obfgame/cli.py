@@ -83,12 +83,7 @@ def _report_dict(report: stackelberg.EquilibriumReport) -> dict:
 
 
 def run_solve(config: RunConfig, out_dir: Path, out_format: str) -> int:
-    params = config.game_params()
-    try:
-        report = stackelberg.pbne_solve(params)
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 1
+    report = stackelberg.pbne_solve(config.game_params())
     if out_format == "json":
         _write_text(out_dir / "solve.json",
                     json.dumps(_report_dict(report), indent=2) + "\n")

@@ -39,17 +39,16 @@ class NoCrossingError(ObfGameError):
 
 
 class InconsistencyError(ObfGameError):
-    """Closed-form equilibrium disagrees with the grid-scan verification.
-
-    Carries both candidate optima so callers can diagnose convention
-    mismatches between the threshold formulas and the configured model.
-    """
+    """The closed-form promise fails its certificate: it does not deter, or
+    the exact sup of the induced leader utility beats it beyond the closed
+    form's stated bound.  Carries the promise and the exact optimum, so that
+    callers can diagnose convention mismatches with the threshold formulas."""
 
     def __init__(self, message: str, closed_form: tuple[float, float],
                  scanned: tuple[float, float]):
         super().__init__(message)
         self.closed_form = closed_form  # (sigma_L, utility)
-        self.scanned = scanned          # (sigma_L, utility)
+        self.scanned = scanned          # exact optimum (sigma_L, utility)
 
 
 class InfiniteLeakageError(ObfGameError):

@@ -135,8 +135,11 @@ def _privacy(params: GameParams, v_L, v_S):
     total = v_L + v_S
     cv = params.conventions
     if isinstance(total, float):
-        return cv.c_p * total**-cv.privacy_exponent if total > 0 else math.inf
-    with np.errstate(divide="ignore"):
+        try:
+            return cv.c_p * total**-cv.privacy_exponent
+        except (ZeroDivisionError, OverflowError):  # total 0 or below ~1e-308
+            return math.inf
+    with np.errstate(divide="ignore", over="ignore"):
         return cv.c_p * total**-cv.privacy_exponent
 
 

@@ -1,6 +1,6 @@
 """Leader layer: deterrence thresholds, the induced leader utility, the
-closed-form equilibrium promise, and regime classification with grid-scan
-verification."""
+closed-form equilibrium promise, and regime classification with a
+certificate against the exact leader optimum."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .errors import (
     NoCrossingError,
     UndefinedThresholdError,
 )
-from .mfg import fixed_point_check, gamma
+from .mfg import gamma
 from .model import (
     GameParams,
     _abstain,
@@ -55,7 +55,6 @@ PROMISE_TIE_TOL = 1e-12
 
 ROOT_SCAN_INTERVALS = 1000
 ROOT_BISECTION_WIDTH = 1e-12
-EQ9_GRID_POINTS = 10_000
 
 
 class EquilibriumRegime(Enum):
@@ -153,7 +152,8 @@ def _refine(params: GameParams, lo: float, hi: float) -> float:
     step cuts the bracket at the secant through its ends, and an end kept
     twice in a row has its value halved.  Stops once the bracket is at most
     ROOT_BISECTION_WIDTH wide or no float lies strictly inside it, and
-    returns its midpoint (or a point where _gap is exactly 0)."""
+    returns its deterred end, where _gap < 0 (or a point where _gap is
+    exactly 0), so that gamma is 0 at the returned root."""
     f_lo, f_hi = _gap(params, lo**2), _gap(params, hi**2)
     kept = 0  # +1 when lo was kept by the last step, -1 when hi was
     while hi - lo > ROOT_BISECTION_WIDTH:
@@ -173,17 +173,17 @@ def _refine(params: GameParams, lo: float, hi: float) -> float:
             hi, f_hi = x, f_x
             f_lo *= 0.5 if kept == 1 else 1.0
             kept = 1
-    return 0.5 * (lo + hi)
+    return lo if f_lo < 0.0 else hi
 
 
 def threshold_crossings(params: GameParams) -> list[float]:
-    """All roots of pressure - abstain_value found on (0, M], smallest first.
+    """All roots of pressure - abstain_value found on (0, M], smallest first;
+    each is a promise at which the crowd is deterred (gamma is 0 there).
 
     More than one root can occur away from the default conventions (and for
     extreme kappa); ``tau_exact`` always uses the smallest.
     """
-    return [lo if lo == hi else _refine(params, lo, hi)
-            for lo, hi in _crossing_brackets(params)]
+    return [_refine(params, lo, hi) for lo, hi in _crossing_brackets(params)]
 
 
 def tau_exact(params: GameParams) -> float:
@@ -195,9 +195,7 @@ def tau_exact(params: GameParams) -> float:
     """
     crossings = threshold_crossings(params)
     if not crossings:
-        dominant = ("pressure"
-                    if _gap(params, params.M**2) > 0
-                    else "abstain")
+        dominant = "pressure" if _gap(params, params.M**2) > 0 else "abstain"
         raise NoCrossingError(
             f"no crossing of pressure and abstain value on (0, M]: "
             f"{dominant} dominates everywhere", dominant)
@@ -229,13 +227,9 @@ def thresholds(params: GameParams, include_exact: bool = True) -> Thresholds:
 def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
                            ) -> float | np.ndarray:
     """Exact leader payoff at a promise (or an array of promises), with the
-    users at their induced symmetric response gamma(sigma_L)."""
-    return _induced_utility(params, _variance(params, "sigma_L", sigma_L))
-
-
-def _induced_utility(params: GameParams, v_L):
-    """induced_leader_utility over promise variances; the crowd is at
-    gamma(sigma_L): M where privacy pressure exceeds the abstain value."""
+    users at their induced symmetric response gamma(sigma_L): M where
+    privacy pressure exceeds the abstain value, else 0."""
+    v_L = _variance(params, "sigma_L", sigma_L)
     obfuscate = _privacy_loss(params, v_L, 0.0) > _abstain(params, v_L, 0.0)
     return _learner(params, v_L, params.M**2 * obfuscate)
 
@@ -323,15 +317,15 @@ def sg_equilibrium(params: GameParams) -> float:
 
 
 def _report(params: GameParams, regime: EquilibriumRegime, sigma_L: float,
-            sigma_bar: float, cond: RegimeConditions,
-            include_exact: bool, reason: str | None = None) -> EquilibriumReport:
+            sigma_bar: float, cond: RegimeConditions, th: Thresholds,
+            reason: str | None = None) -> EquilibriumReport:
     return EquilibriumReport(
         sigma_L_dagger=sigma_L,
         sigma_bar_dagger=sigma_bar,
-        regime=regime,
+        regime=regime if reason is None else EquilibriumRegime.BOUNDARY,
         learner_utility_at_eq=learner_utility(params, sigma_L, sigma_bar),
         user_utility_at_eq=user_utility(params, sigma_L, sigma_bar, sigma_bar),
-        thresholds=thresholds(params, include_exact=include_exact),
+        thresholds=th,
         conditions=cond,
         boundary_reason=reason,
     )
@@ -348,6 +342,7 @@ def classify_regime(params: GameParams) -> EquilibriumReport:
     depends on it); pbne_solve reports it.
     """
     cond, reason, regime = _closed_form(params)
+    th = thresholds(params, include_exact=False)
     if reason is not None:
         return EquilibriumReport(
             sigma_L_dagger=math.nan,
@@ -355,57 +350,63 @@ def classify_regime(params: GameParams) -> EquilibriumReport:
             regime=EquilibriumRegime.BOUNDARY,
             learner_utility_at_eq=math.nan,
             user_utility_at_eq=math.nan,
-            thresholds=thresholds(params, include_exact=False),
+            thresholds=th,
             conditions=cond,
             boundary_reason=reason,
         )
     sigma_bar = (params.M if regime is EquilibriumRegime.FULL_OBFUSCATION
                  else 0.0)
-    return _report(params, regime, _promise(params, regime), sigma_bar, cond,
-                   include_exact=False)
+    return _report(params, regime, _promise(params, regime), sigma_bar,
+                   cond, th)
 
 
-def _verify_leader_optimality(params: GameParams,
-                              sigma_dagger: float) -> None:
-    """Check the promise against a grid scan of the exact induced utility.
-
-    The scan may beat the closed form by up to the largest one-cell utility
-    variation (the induced curve is discontinuous at the deterrence
-    threshold); anything beyond that signals a convention mismatch.
-    """
-    grid, squares = _sigma_grid(params.M, EQ9_GRID_POINTS)
-    util = _induced_utility(params, squares)
-    scan_max = float(util.max())
-    scan_arg = float(grid[int(util.argmax())])
-    cell_variation = float(np.abs(np.diff(util)).max())
+def _verify_leader_optimality(params: GameParams, sigma_dagger: float,
+                              tau_exact: float | None, tie: bool):
+    """Certify the promise against the exact sup of the induced leader
+    utility U on [0, M] and return that optimum as (sigma_L, utility).
+    Between crossings the crowd is constant and U falls in sigma_L, so the
+    sup is U(0) or U(tau_exact), where the crowd is deterred (in the status
+    quo tau_exact is None and U(0) = A_L).  The promise may fall short of it
+    by the closed form's two approximations: it values full obfuscation at
+    0, not A_L exp(-c_g kappa M^2), and it decides at tau_hat, where a promise
+    pays L = A_L exp(-c_g kappa tau_hat^2) - C_L.  Tie rows (Boundary, no
+    promise) count L at most 0, as kappa ties go to no promise."""
     closed = induced_leader_utility(params, sigma_dagger)
-    if scan_max - closed > max(1e-6, cell_variation):
+    arg, sup = 0.0, induced_leader_utility(params, 0.0)
+    bound = _learner(params, 0.0, params.M**2)
+    if tau_exact is not None:
+        at_exact = induced_leader_utility(params, tau_exact)
+        if at_exact > sup:
+            arg, sup = tau_exact, at_exact
+        decided = _learner(params, tau_hat(params)**2, 0.0)
+        bound += max(0.0, at_exact - (min(decided, 0.0) if tie else decided))
+    if sup - closed > bound:
         raise InconsistencyError(
             f"promise {sigma_dagger:.6g} (utility {closed:.6g}) is beaten by "
-            f"the scan optimum {scan_arg:.6g} (utility {scan_max:.6g})",
-            closed_form=(sigma_dagger, closed),
-            scanned=(scan_arg, scan_max))
+            f"the exact optimum {arg:.6g} (utility {sup:.6g}) beyond the "
+            f"closed form's bound {bound:.6g}",
+            closed_form=(sigma_dagger, closed), scanned=(arg, sup))
+    return arg, sup
 
 
 def pbne_solve(params: GameParams) -> EquilibriumReport:
-    """Solve the full bi-level game and verify both equilibrium conditions.
-
-    The follower condition is checked through fixed_point_check on the
-    induced response; the leader condition through a grid scan of the exact
-    induced utility.  Verification failure raises InconsistencyError with
-    both candidate optima.
-    """
+    """Solve the full bi-level game and certify the closed-form promise: a
+    positive promise must deter (gamma is 0 there), and it must come within
+    the closed form's stated bound of the exact leader optimum
+    (_verify_leader_optimality).  Either failure raises InconsistencyError.
+    The crowd needs no check: gamma is a best-response fixed point at every
+    promise, as the abstain value falls when the crowd's variance grows."""
     cond, reason, regime = _closed_form(params)
     sigma_dagger = _promise(params, regime)
+    th = thresholds(params,
+                    include_exact=regime is not EquilibriumRegime.STATUS_QUO)
     sigma_bar = gamma(params, sigma_dagger)
-    if not fixed_point_check(params, sigma_dagger, sigma_bar):
+    optimum = _verify_leader_optimality(
+        params, sigma_dagger, th.tau_exact,
+        tie=reason is not None and sigma_dagger == 0)
+    if sigma_dagger > 0 and sigma_bar != 0:
         raise InconsistencyError(
-            f"induced response {sigma_bar} is not a best-response fixed "
-            f"point at promise {sigma_dagger}",
-            closed_form=(sigma_dagger, sigma_bar), scanned=(sigma_dagger, sigma_bar))
-    _verify_leader_optimality(params, sigma_dagger)
-    return _report(params,
-                   regime if reason is None else EquilibriumRegime.BOUNDARY,
-                   sigma_dagger, sigma_bar, cond,
-                   include_exact=regime is not EquilibriumRegime.STATUS_QUO,
-                   reason=reason)
+            f"promise {sigma_dagger:.6g} does not deter: the crowd answers M",
+            (sigma_dagger, learner_utility(params, sigma_dagger, sigma_bar)),
+            optimum)
+    return _report(params, regime, sigma_dagger, sigma_bar, cond, th, reason)

@@ -85,6 +85,13 @@ class TestSolveCommand:
         assert lines[0].startswith("regime,sigma_L_dagger")
         assert lines[1].startswith("StatusQuo,0.0,0.0,2.0")
 
+    def test_convention_mismatch_exits_1(self, tmp_path, capsys):
+        # with c_p = 2 the closed-form promise tau_hat does not deter
+        cfg = write_config(tmp_path, ROW3_GAME + "conventions.c_p = 2.0\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("inconsistency: promise")
+        assert not (tmp_path / "solve.csv").exists()
+
     def test_missing_key_exits_2(self, tmp_path):
         text = ROW3_GAME.replace("game.P_S = 2.0\n", "")
         cfg = write_config(tmp_path, text)

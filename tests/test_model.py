@@ -82,6 +82,14 @@ class TestPrivacyLevel:
     def test_zero_noise_is_unbounded(self):
         assert privacy_level(make_params(), 0.0, 0.0) == math.inf
 
+    @pytest.mark.parametrize("sigma", [1e-158, 1e-155])
+    def test_tiny_noise_is_unbounded(self, sigma):
+        # sigma^2 is nonzero but its reciprocal exceeds the float range
+        params = make_params()
+        assert privacy_level(params, sigma, 0.0) == math.inf
+        assert privacy_level(params, np.array([sigma]), 0.0)[0] == math.inf
+        assert privacy_pressure(params, sigma) == params.P_S
+
     def test_unit_learner_noise(self):
         assert privacy_level(make_params(), 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
 

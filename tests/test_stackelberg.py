@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obfgame
 from obfgame import (
     EquilibriumRegime,
     GameParams,
     InconsistencyError,
+    ModelConventions,
     NoCrossingError,
     UndefinedThresholdError,
     classify_regime,
@@ -388,12 +391,93 @@ class TestPbneSolve:
         assert a.sigma_L_dagger == pytest.approx(b.sigma_L_dagger, rel=1e-12)
 
     def test_verifier_fires_on_suboptimal_promise(self):
-        # gamma is identically zero here and C_L = 0 keeps the induced curve
-        # jump-free, so the scan tolerance reduces to 1e-6
+        # a status quo row: the crowd abstains at no promise, so the exact
+        # optimum is U(0) = A_L and the bound only exp(-kappa M^2) A_L
         params = make_params(A_L=2.0, C_L=0.0, A_S=1.0, P_S=1.2, C_S=1.0,
                              rho=1.0, N=10, M=10.0)
         with pytest.raises(InconsistencyError) as info:
-            _verify_leader_optimality(params, 5.0)
+            _verify_leader_optimality(params, 5.0, None, False)
         sigma, utility = info.value.scanned
         assert sigma == 0.0 and utility == pytest.approx(2.0, rel=1e-12)
         assert info.value.closed_form[0] == 5.0
+
+
+class TestLeaderCertificate:
+    # the README example: bound 0.0142, tau_exact 0.8515, tau_hat 1.2011
+    @pytest.mark.parametrize("promise", [0.0, 0.43, 3.6, 10.0, 25.0, 50.0,
+                                         "tau_hat"])
+    def test_readme_example_accepts_only_tau_hat(self, promise):
+        params = make_params()
+        exact = tau_exact(params)
+        optimum = (exact, induced_leader_utility(params, exact))
+        if promise == "tau_hat":
+            assert _verify_leader_optimality(
+                params, tau_hat(params), exact, False) == optimum
+            return
+        with pytest.raises(InconsistencyError) as info:
+            _verify_leader_optimality(params, promise, exact, False)
+        assert info.value.scanned == optimum
+        assert info.value.closed_form == (
+            promise, induced_leader_utility(params, promise))
+
+    @pytest.mark.parametrize("N", [100, 10_000])
+    def test_promise_that_does_not_deter_raises(self, N):
+        # with c_p = 2 the crowd still obfuscates at tau_hat; at N = 10,000
+        # only the deterrence check catches it, as full obfuscation keeps
+        # exp(-kappa M^2) = 0.78 of the accuracy and the bound with it
+        params = make_params(N=N, conventions=ModelConventions(c_p=2.0))
+        assert gamma(params, tau_hat(params)) == params.M
+        with pytest.raises(InconsistencyError) as info:
+            pbne_solve(params)
+        assert info.value.closed_form[0] == tau_hat(params)
+        if N == 10_000:
+            assert "does not deter" in str(info.value)
+            assert _verify_leader_optimality(
+                params, tau_hat(params), tau_exact(params), False)[0] == 0.0
+
+    def test_threshold_ignoring_c_g_raises(self):
+        # kappa = 0.5 exceeds ln(A_L/C_L) ln 2 = 0.48, so the closed form
+        # promises nothing, but with c_g = 0.5 a promise at tau_exact pays
+        # 0.628 against ~0 for no promise
+        params = make_params(N=2, conventions=ModelConventions(c_g=0.5))
+        with pytest.raises(InconsistencyError) as info:
+            pbne_solve(params)
+        assert info.value.closed_form[0] == 0.0
+        assert info.value.scanned == pytest.approx(
+            (tau_exact(params), 0.6282826312646095), rel=1e-12)
+
+    def test_kappa_tie_without_promise_solves(self):
+        # kappa = ln 6 ln 2, the promise threshold: the tie goes to no
+        # promise, and the certificate counts tau_hat's payoff as at most 0
+        params = make_params(A_L=3.0, C_L=0.5, N=1, rho=1.0 / math.sqrt(
+            math.log(6.0) * math.log(2.0)))
+        report = pbne_solve(params)
+        assert report.regime is EquilibriumRegime.BOUNDARY
+        assert report.sigma_L_dagger == 0.0
+
+
+@st.composite
+def game_params(draw):
+    """Draws like the solve benchmark's: surplus, status quo and every
+    promise decision, with M = max(10 tau_hat, 32)."""
+    A_S, C_S = draw(st.floats(0.3, 1.5)), draw(st.floats(0.3, 1.5))
+    P_S = (A_S + C_S) * draw(st.floats(0.5, 3.0))
+    th = math.sqrt(1.0 / math.log(P_S / (P_S - C_S))) if P_S > C_S else 0.0
+    return GameParams(A_L=draw(st.floats(0.5, 4.0)),
+                      C_L=draw(st.floats(0.05, 2.5)), A_S=A_S, P_S=P_S,
+                      C_S=C_S, rho=draw(st.floats(0.5, 2.0)),
+                      N=draw(st.integers(1, 5000)), M=max(10.0 * th, 32.0))
+
+
+class TestProperties:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(params=game_params())
+    def test_every_crossing_is_deterred(self, params):
+        for root in threshold_crossings(params):
+            assert gamma(params, root) == 0.0
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(params=game_params(), share=st.floats(0.0, 1.0))
+    def test_induced_response_is_a_fixed_point(self, params, share):
+        sigma_L = share * params.M
+        assert fixed_point_check(params, sigma_L, gamma(params, sigma_L))
