@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 internal inconsistency, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -58,35 +59,13 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _report_dict(report: stackelberg.EquilibriumReport) -> dict:
-    th, cond = report.thresholds, report.conditions
-    return {
-        "regime": report.regime.value,
-        "sigma_L_dagger": report.sigma_L_dagger,
-        "sigma_bar_dagger": report.sigma_bar_dagger,
-        "learner_utility_at_eq": report.learner_utility_at_eq,
-        "user_utility_at_eq": report.user_utility_at_eq,
-        "thresholds": {
-            "tau_exact": th.tau_exact,
-            "tau_hat": th.tau_hat,
-            "kappa": th.kappa,
-            "notes": list(th.notes),
-        },
-        "conditions": {
-            "privacy_surplus": cond.privacy_surplus,
-            "accuracy_benefit": cond.accuracy_benefit,
-            "kappa": cond.kappa,
-            "kappa_threshold": cond.kappa_threshold,
-        },
-        "boundary_reason": report.boundary_reason,
-    }
-
-
 def run_solve(config: RunConfig, out_dir: Path, out_format: str) -> int:
     report = stackelberg.pbne_solve(config.game_params())
     if out_format == "json":
         _write_text(out_dir / "solve.json",
-                    json.dumps(_report_dict(report), indent=2) + "\n")
+                    json.dumps({**dataclasses.asdict(report),
+                                "regime": report.regime.value},
+                               indent=2) + "\n")
     else:
         th = report.thresholds
         _write_csv(
@@ -117,15 +96,12 @@ def _sweep_row(params: GameParams) -> tuple:
 
 
 def run_sweep(config: RunConfig, out_dir: Path) -> int:
-    ranges = config.sweep_ranges()
-    if not ranges:
+    grids = config.sweep_grids()
+    if not grids:
         raise ConfigError("sweep requires at least one sweep.<param> range")
-    names = list(ranges)
-    grids = [ranges[name].grid() for name in names]
-    total = 1
-    for grid in grids:
-        total *= len(grid)
-    cap = int(config.get("sweep.max_points"))
+    names = list(grids)
+    total = math.prod(len(grid) for grid in grids.values())
+    cap = config.get("sweep.max_points")
     if total > cap:
         raise ConfigError(
             f"sweep grid has {total} points, above the cap of {cap}; "
@@ -135,16 +111,15 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
             for name in GAME_FIELDS if name not in names}
     conventions = config.conventions()
     # Build one GameParams per grid point, in lexicographic grid order.
-    points = list(itertools.product(*[map(float, grid) for grid in grids]))
+    points = list(itertools.product(*(g.tolist() for g in grids.values())))
     params_list = []
     for values in points:
-        fields = dict(base)
-        for name, value in zip(names, values):
-            fields[name] = int(value) if name == "N" else value
+        point = dict(zip(names, values))
         try:
-            params_list.append(GameParams(conventions=conventions, **fields))
+            params_list.append(
+                GameParams(conventions=conventions, **base, **point))
         except ValueError as exc:
-            raise ConfigError(f"sweep point {dict(zip(names, values))}: {exc}")
+            raise ConfigError(f"sweep point {point}: {exc}")
 
     header = names + ["regime", "sigma_L_dagger", "sigma_bar_dagger", "U_L",
                       "tau_hat"]
@@ -159,8 +134,8 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
 
 def run_br_curve(config: RunConfig, out_dir: Path) -> int:
     params = config.game_params()
-    sigma_L = float(config.require("br_curve.sigma_L"))
-    n_points = int(config.get("br_curve.n_points"))
+    sigma_L = config.require("br_curve.sigma_L")
+    n_points = config.get("br_curve.n_points")
     rows = []
     for sigma_bar, response in mfg.br_curve(params, sigma_L, n_points):
         if response.kind is mfg.ResponseKind.INDIFFERENT:
@@ -175,13 +150,11 @@ def run_br_curve(config: RunConfig, out_dir: Path) -> int:
 
 def run_cascade(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
     params = config.game_params()
-    sigma_L = float(config.require("cascade.sigma_L"))
-    seed_fraction = float(config.require("cascade.seed_fraction"))
-    schedule = str(config.get("cascade.schedule"))
-    max_rounds = int(config.get("cascade.max_rounds"))
-    trace = mfg.cascade_simulate(params, sigma_L, seed_fraction,
-                                 schedule=schedule, rng_seed=rng_seed,
-                                 max_rounds=max_rounds)
+    trace = mfg.cascade_simulate(
+        params, config.require("cascade.sigma_L"),
+        config.require("cascade.seed_fraction"),
+        schedule=config.get("cascade.schedule"), rng_seed=rng_seed,
+        max_rounds=config.get("cascade.max_rounds"))
     rows = [(i, frac, params.M**2 * frac, trace.converged)
             for i, frac in enumerate(trace.adoption_fraction)]
     _write_csv(out_dir / "cascade.csv",
@@ -193,17 +166,17 @@ def run_cascade(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
 
 
 def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
-    gen = erm.GeneratorSpec(int(config.get("experiment.erm.d")),
-                            float(config.get("experiment.erm.separation")))
-    erm_config = erm.ErmConfig(rho=float(config.get("experiment.erm.rho")))
+    gen = erm.GeneratorSpec(config.get("experiment.erm.d"),
+                            config.get("experiment.erm.separation"))
+    erm_config = erm.ErmConfig(rho=config.get("experiment.erm.rho"))
     report = erm.scaling_experiment(
-        gen, int(config.get("experiment.erm.n")), erm_config,
+        gen, config.get("experiment.erm.n"), erm_config,
         config.get("experiment.erm.levels"),
-        replications=int(config.get("experiment.erm.replications")),
+        replications=config.get("experiment.erm.replications"),
         rng_seed=rng_seed,
-        n_eval=int(config.get("experiment.erm.n_eval")),
-        n_ref=int(config.get("experiment.erm.n_ref")),
-        carriers=int(config.get("experiment.erm.carriers")),
+        n_eval=config.get("experiment.erm.n_eval"),
+        n_ref=config.get("experiment.erm.n_ref"),
+        carriers=config.get("experiment.erm.carriers"),
     )
     _write_csv(
         out_dir / "erm_scaling.csv",
@@ -211,10 +184,9 @@ def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
         [(lv.index, lv.v, lv.mean_excess_risk, lv.std_error, lv.replications)
          for lv in report.levels])
 
-    spec = dp.DpSpec(delta=float(config.get("experiment.dp.delta")),
-                     sensitivity=float(config.get("experiment.dp.sensitivity")))
-    pairs = config.get("experiment.dp.pairs")
-    dp_report = dp.scaling_check(spec, pairs)
+    spec = dp.DpSpec(delta=config.get("experiment.dp.delta"),
+                     sensitivity=config.get("experiment.dp.sensitivity"))
+    dp_report = dp.scaling_check(spec, config.get("experiment.dp.pairs"))
     _write_csv(
         out_dir / "dp_scaling.csv",
         ["pair_index", "sigma_L", "sigma_S", "combined_std", "epsilon",
@@ -267,11 +239,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.config)
         out_dir = Path(args.out if args.out is not None
-                       else str(config.get("output.dir")))
+                       else config.get("output.dir"))
         out_format = (args.format if args.format is not None
-                      else str(config.get("output.format")))
+                      else config.get("output.format"))
         rng_seed = (args.seed if args.seed is not None
-                    else int(config.get("rng_seed")))
+                    else config.get("rng_seed"))
         if args.command == "solve":
             return run_solve(config, out_dir, out_format)
         if args.command == "sweep":

@@ -8,7 +8,6 @@ diff-friendly and unambiguous.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,9 +17,7 @@ from .errors import ConfigError
 from .model import GameParams, ModelConventions
 
 GAME_FIELDS = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "N", "M")
-
-_SWEEP_KEY = re.compile(
-    r"^sweep\.(?P<param>[A-Za-z_]+)\.(?P<part>min|max|steps)$")
+_SWEEP_PARTS = ("min", "max", "steps")
 
 
 def _parse_float(text: str) -> float:
@@ -94,6 +91,8 @@ _SCHEMA = {
     "experiment.dp.delta": _parse_float,
     "experiment.dp.sensitivity": _parse_float,
     "experiment.dp.pairs": _parse_pair_list,
+    **{f"sweep.{name}.{part}": _parse_int if part == "steps" else _parse_float
+       for name in GAME_FIELDS for part in _SWEEP_PARTS},
 }
 
 DEFAULTS = {
@@ -121,24 +120,11 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepRange:
-    minimum: float
-    maximum: float
-    steps: int
-
-    def grid(self) -> np.ndarray:
-        if self.steps < 1:
-            raise ConfigError("sweep steps must be >= 1")
-        return np.linspace(self.minimum, self.maximum, self.steps)
-
-
 @dataclass
 class RunConfig:
     """Parsed configuration with typed accessors for each command."""
 
     entries: dict[str, object]
-    sweep_parts: dict[str, dict[str, float | int]]
 
     def get(self, key: str):
         if key in self.entries:
@@ -154,16 +140,11 @@ class RunConfig:
         return value
 
     def conventions(self) -> ModelConventions:
-        def value_or_default(key: str) -> float:
-            value = self.get(key)
-            return 1.0 if value is None else float(value)
-
+        given = {key.removeprefix("conventions."): value
+                 for key, value in self.entries.items()
+                 if key.startswith("conventions.")}
         try:
-            return ModelConventions(
-                c_g=value_or_default("conventions.c_g"),
-                c_p=value_or_default("conventions.c_p"),
-                privacy_exponent=value_or_default("conventions.privacy_exponent"),
-            )
+            return ModelConventions(**given)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -174,23 +155,26 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def sweep_ranges(self) -> dict[str, SweepRange]:
-        ranges = {}
-        for param in sorted(self.sweep_parts):
-            parts = self.sweep_parts[param]
-            for piece in ("min", "max", "steps"):
-                if piece not in parts:
-                    raise ConfigError(
-                        f"sweep.{param} is missing sweep.{param}.{piece}")
-            ranges[param] = SweepRange(
-                float(parts["min"]), float(parts["max"]), int(parts["steps"]))
-        return ranges
+    def sweep_grids(self) -> dict[str, np.ndarray]:
+        """name -> np.linspace grid of each swept game field, in name order."""
+        grids = {}
+        for name in sorted(GAME_FIELDS):
+            keys = [f"sweep.{name}.{part}" for part in _SWEEP_PARTS]
+            if not any(key in self.entries for key in keys):
+                continue
+            for key in keys:
+                if key not in self.entries:
+                    raise ConfigError(f"sweep.{name} is missing {key}")
+            low, high, steps = (self.entries[key] for key in keys)
+            if steps < 1:
+                raise ConfigError("sweep steps must be >= 1")
+            grids[name] = np.linspace(low, high, steps)
+        return grids
 
 
 def parse_config(path: str | Path) -> RunConfig:
     """Parse a config file, rejecting unknown and duplicate keys."""
     entries: dict[str, object] = {}
-    sweep_parts: dict[str, dict[str, float | int]] = {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -203,18 +187,6 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        sweep_match = _SWEEP_KEY.match(key)
-        if sweep_match:
-            param, part = sweep_match.group("param"), sweep_match.group("part")
-            if param not in GAME_FIELDS:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown sweep parameter {param!r}")
-            bucket = sweep_parts.setdefault(param, {})
-            if part in bucket:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            bucket[part] = (_parse_int(value) if part == "steps"
-                            else _parse_float(value))
-            continue
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in entries:
@@ -223,4 +195,4 @@ def parse_config(path: str | Path) -> RunConfig:
             entries[key] = _SCHEMA[key](value)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
-    return RunConfig(entries, sweep_parts)
+    return RunConfig(entries)

@@ -92,9 +92,9 @@ class RegimeConditions:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
+    regime: EquilibriumRegime
     sigma_L_dagger: float
     sigma_bar_dagger: float
-    regime: EquilibriumRegime
     learner_utility_at_eq: float
     user_utility_at_eq: float
     thresholds: Thresholds

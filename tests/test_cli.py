@@ -56,7 +56,7 @@ class TestConfigParsing:
         path = write_config(tmp_path, ROW3_GAME + "sweep.P_S.min = 0.5\n")
         cfg = parse_config(path)
         with pytest.raises(ConfigError, match="sweep.P_S.max"):
-            cfg.sweep_ranges()
+            cfg.sweep_grids()
 
     def test_conventions_flow_through(self, tmp_path):
         text = ROW3_GAME + "conventions.privacy_exponent = 0.5\n"
