@@ -166,6 +166,11 @@ def run_cascade(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
 
 
 def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
+    # the DP check is cheap, so its config errors surface before the ERM runs
+    spec = dp.DpSpec(delta=config.get("experiment.dp.delta"),
+                     sensitivity=config.get("experiment.dp.sensitivity"))
+    dp_report = dp.scaling_check(spec, config.get("experiment.dp.pairs"))
+
     gen = erm.GeneratorSpec(config.get("experiment.erm.d"),
                             config.get("experiment.erm.separation"))
     erm_config = erm.ErmConfig(rho=config.get("experiment.erm.rho"))
@@ -183,10 +188,6 @@ def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
         ["level_index", "v", "mean_excess_risk", "std_error", "replications"],
         [(lv.index, lv.v, lv.mean_excess_risk, lv.std_error, lv.replications)
          for lv in report.levels])
-
-    spec = dp.DpSpec(delta=config.get("experiment.dp.delta"),
-                     sensitivity=config.get("experiment.dp.sensitivity"))
-    dp_report = dp.scaling_check(spec, config.get("experiment.dp.pairs"))
     _write_csv(
         out_dir / "dp_scaling.csv",
         ["pair_index", "sigma_L", "sigma_S", "combined_std", "epsilon",

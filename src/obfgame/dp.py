@@ -33,8 +33,9 @@ class DpSpec:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not self.sensitivity > 0:
-            raise ValueError("sensitivity must be positive")
+        if not (math.isfinite(self.sensitivity) and self.sensitivity > 0):
+            raise ValueError(f"sensitivity must be finite and positive, "
+                             f"got {self.sensitivity}")
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,17 @@ def scaling_check(spec: DpSpec,
                   sigma_pairs: Sequence[tuple[float, float]]) -> DpScalingReport:
     """Calibrate each (sigma_L, sigma_S) pair at combined std
     sqrt(sigma_L^2 + sigma_S^2) and report how far epsilon * combined_std
-    strays from its analytic constant."""
+    strays from its analytic constant.  Raises ValueError on a negative
+    sigma or a non-finite combined std, naming the pair."""
     constant = spec.sensitivity * math.sqrt(2.0 * math.log(1.25 / spec.delta))
     rows = []
     max_dev = 0.0
     for i, (sigma_L, sigma_S) in enumerate(sigma_pairs):
         combined = math.hypot(sigma_L, sigma_S)
+        if min(sigma_L, sigma_S) < 0 or not math.isfinite(combined):
+            raise ValueError(
+                f"sigma pair {i} ({sigma_L}, {sigma_S}): sigmas must be "
+                f"non-negative with a finite combined std")
         result = gaussian_epsilon(spec, combined)
         rows.append(DpScalingRow(i, sigma_L, sigma_S, combined,
                                  result.epsilon, result.valid))

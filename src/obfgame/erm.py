@@ -98,10 +98,11 @@ class ErmConfig:
     grad_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not self.grad_tolerance > 0:
-            raise ValueError("grad_tolerance must be positive")
+        for name in ("rho", "grad_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -51,8 +51,9 @@ class InconsistencyError(ObfGameError):
         self.scanned = scanned          # exact optimum (sigma_L, utility)
 
 
-class InfiniteLeakageError(ObfGameError):
-    """A differential-privacy level was requested for zero total noise."""
+class InfiniteLeakageError(ObfGameError, ValueError):
+    """A differential-privacy level was requested for zero total noise.  A
+    ValueError, so that the CLI treats it as a config error."""
 
 
 class DegenerateRegressionError(ObfGameError):

@@ -58,6 +58,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sweep.P_S.max"):
             cfg.sweep_grids()
 
+    def test_unknown_sweep_parameter_rejected_with_line(self, tmp_path):
+        path = write_config(tmp_path, ROW3_GAME + "sweep.Q.min = 1\n")
+        with pytest.raises(ConfigError) as raised:
+            parse_config(path)
+        assert str(raised.value) == (
+            f"{path}:9: unknown config key 'sweep.Q.min'")
+
     def test_conventions_flow_through(self, tmp_path):
         text = ROW3_GAME + "conventions.privacy_exponent = 0.5\n"
         cfg = parse_config(write_config(tmp_path, text))
@@ -74,6 +81,20 @@ class TestSolveCommand:
         assert report["regime"] == "PrivacyPromise"
         assert report["sigma_L_dagger"] == pytest.approx(1.2011224087864498)
         assert report["sigma_bar_dagger"] == 0.0
+        assert list(report) == [
+            "regime", "sigma_L_dagger", "sigma_bar_dagger",
+            "learner_utility_at_eq", "user_utility_at_eq", "thresholds",
+            "conditions", "boundary_reason"]
+        assert list(report["thresholds"]) == [
+            "tau_exact", "tau_hat", "kappa", "notes"]
+        assert list(report["conditions"]) == [
+            "privacy_surplus", "accuracy_benefit", "kappa", "kappa_threshold"]
+
+    def test_tiny_deterrence_cost_solves(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ROW3_GAME.replace(
+            "game.C_S = 1.0", "game.C_S = 1e-17"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("regime=FullObfuscation")
 
     def test_row1_solve_csv(self, tmp_path):
         text = ROW3_GAME.replace("game.A_S = 0.5", "game.A_S = 1.0").replace(
@@ -147,6 +168,15 @@ class TestSweepCommand:
         text = self.SWEEP + "sweep.max_points = 10\n"
         cfg = write_config(tmp_path, text)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_fractional_N_point_exits_2(self, tmp_path, capsys):
+        text = ROW3_GAME.replace("game.N = 100\n", "") + (
+            "sweep.N.min = 1\nsweep.N.max = 4\nsweep.N.steps = 3\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep point {'N': 2.5}: "
+            "N must be an integer >= 1\n")
 
     def test_sweep_without_ranges_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, ROW3_GAME)
@@ -302,6 +332,13 @@ class TestValidateCommand:
                                             "non-negative, got nan"),
         ("experiment.erm.separation = inf", "separation must be finite and "
                                             "non-negative, got inf"),
+        ("experiment.erm.rho = inf", "rho must be finite and positive, "
+                                     "got inf"),
+        ("experiment.dp.sensitivity = inf", "sensitivity must be finite and "
+                                            "positive, got inf"),
+        ("experiment.dp.pairs = inf,0; 2,0", "sigma pair 0 (inf, 0.0)"),
+        ("experiment.dp.pairs = 1,0; -1,0", "sigma pair 1 (-1.0, 0.0)"),
+        ("experiment.dp.pairs = 0,0", "zero total noise"),
     ])
     def test_bad_experiment_value_exits_2(self, tmp_path, entry, named):
         # a subprocess keeps a run that never ends from hanging the suite

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ class TestGaussianEpsilon:
             DpSpec(delta=0.0)
         with pytest.raises(ValueError):
             DpSpec(delta=1e-5, sensitivity=0.0)
+        with pytest.raises(ValueError, match="got inf"):
+            DpSpec(delta=1e-5, sensitivity=math.inf)
 
 
 class TestScalingCheck:
@@ -69,6 +72,13 @@ class TestScalingCheck:
         report = scaling_check(spec, [(1.0, 1.0), (math.sqrt(2.0), 0.0)])
         assert report.rows[0].epsilon == pytest.approx(
             report.rows[1].epsilon, rel=1e-15)
+
+    @pytest.mark.parametrize("pair", [
+        (-1.0, 0.0), (math.inf, 0.0), (2.0, math.nan), (1.5e308, 1.5e308)])
+    def test_bad_sigma_names_the_pair(self, pair):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"sigma pair 1 ({pair[0]}, ")):
+            scaling_check(DpSpec(delta=1e-5), [(1.0, 0.0), pair])
 
     def test_rows_carry_inputs(self):
         report = scaling_check(DpSpec(delta=1e-5), [(3.0, 4.0)])

@@ -77,6 +77,14 @@ class TestTauHat:
     def test_infinite_for_free_obfuscation(self):
         assert math.isinf(tau_hat(make_params(C_S=0.0)))
 
+    def test_tiny_deterrence_cost(self):
+        # P_S/(P_S - C_S) rounds to 1 here, so its log reads 0
+        params = make_params(C_S=1e-17)
+        assert tau_hat(params) == pytest.approx(math.sqrt(2e17), rel=1e-12)
+        assert classify_regime(params).regime is (
+            EquilibriumRegime.FULL_OBFUSCATION)
+        assert pbne_solve(params).regime is EquilibriumRegime.FULL_OBFUSCATION
+
 
 def _bisection_oracle(P_S, A_S, C_S, kappa_value, M):
     """Independent root finder for P_S(1-e^{-1/s^2}) = A_S e^{-k s^2} + C_S."""
