@@ -9,7 +9,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import GameParams, abstain_value, privacy_pressure, user_utility
+from .model import (GameParams, _pressure_gap, _variance, abstain_value,
+                    privacy_pressure, user_utility)
 
 __all__ = [
     "INDIFFERENCE_TOL",
@@ -139,21 +140,14 @@ def mfg_equilibria(params: GameParams, sigma_L: float) -> MfgEquilibria:
     hold at once (bistable); the selected equilibrium follows ``gamma``,
     which picks 0 in the bistable band.
     """
-    pressure = privacy_pressure(params, sigma_L)
-    at_zero = abstain_value(params, sigma_L, 0.0)
-    at_max = abstain_value(params, sigma_L, params.M)
-    points = []
-    if pressure <= at_zero:
-        points.append(0.0)
-    if pressure >= at_max:
-        points.append(params.M)
-    if len(points) == 2:
-        regime = MfgRegime.BISTABLE
-    elif points == [0.0]:
-        regime = MfgRegime.NO_OBFUSCATION
-    else:
-        regime = MfgRegime.FULL_OBFUSCATION
-    return MfgEquilibria(tuple(points), gamma(params, sigma_L), regime)
+    v_L = _variance(params, "sigma_L", sigma_L)
+    at_zero = _pressure_gap(params, v_L, 0.0) <= 0
+    at_max = _pressure_gap(params, v_L, params.M**2) >= 0
+    regime = (MfgRegime.BISTABLE if at_zero and at_max
+              else MfgRegime.NO_OBFUSCATION if at_zero
+              else MfgRegime.FULL_OBFUSCATION)
+    return MfgEquilibria((0.0,) * at_zero + (params.M,) * at_max,
+                         params.M * (not at_zero), regime)
 
 
 def gamma(params: GameParams, sigma_L: float | np.ndarray) -> float | np.ndarray:
@@ -161,8 +155,8 @@ def gamma(params: GameParams, sigma_L: float | np.ndarray) -> float | np.ndarray
     loss strictly exceeds the abstain value against a non-obfuscating crowd,
     else 0 (the selection in the bistable band).  Takes a promise or an array
     of promises."""
-    return params.M * (privacy_pressure(params, sigma_L)
-                       > abstain_value(params, sigma_L, 0.0))
+    v_L = _variance(params, "sigma_L", sigma_L)
+    return params.M * (_pressure_gap(params, v_L, 0.0) > 0)
 
 
 def fixed_point_check(params: GameParams, sigma_L: float, sigma_bar: float) -> bool:

@@ -50,10 +50,11 @@ class ModelConventions:
     privacy_exponent: float = 1.0
 
     def __post_init__(self):
-        if not self.c_g > 0:
-            raise ValueError("c_g must be positive")
-        if not self.c_p > 0:
-            raise ValueError("c_p must be positive")
+        for name in ("c_g", "c_p"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
         if self.privacy_exponent not in (0.5, 1.0):
             raise ValueError("privacy_exponent must be 0.5 or 1.0")
 
@@ -162,6 +163,12 @@ def _learner(params: GameParams, v_L, v_bar):
 def _abstain(params: GameParams, v_L, v_bar_other):
     return (params.A_S * _exp(-_accuracy(params, v_L, v_bar_other, 0.0))
             + params.C_S)
+
+
+def _pressure_gap(params: GameParams, v_L, v_bar_other):
+    """Privacy pressure minus the abstain value: the user's strict rule is to
+    obfuscate exactly where this is positive."""
+    return _privacy_loss(params, v_L, 0.0) - _abstain(params, v_L, v_bar_other)
 
 
 def accuracy_level(params: GameParams, sigma_L, sigma_bar_other, sigma_S):

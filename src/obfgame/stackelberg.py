@@ -20,9 +20,8 @@ from .errors import (
 from .mfg import gamma
 from .model import (
     GameParams,
-    _abstain,
     _learner,
-    _privacy_loss,
+    _pressure_gap,
     _variance,
     kappa,
     learner_utility,
@@ -138,33 +137,14 @@ def _sigma_grid(M: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, squares
 
 
-def _gap(params: GameParams, v_L):
-    """Privacy pressure minus the abstain value against a non-obfuscating
-    crowd, over promise variances v_L = sigma_L^2: gamma is M exactly where
-    this is positive, and tau_exact is its smallest root."""
-    return _privacy_loss(params, v_L, 0.0) - _abstain(params, v_L, 0.0)
-
-
-def _crossing_brackets(params: GameParams) -> list[tuple[float, float]]:
-    """Sign-change brackets of pressure - abstain_value on a uniform scan."""
-    grid, squares = _sigma_grid(params.M, ROOT_SCAN_INTERVALS + 1)
-    f = _gap(params, squares)
-    brackets = [(float(grid[k]), float(grid[k]))
-                for k in np.nonzero(f[1:] == 0.0)[0] + 1]
-    for k in np.nonzero(f[:-1] * f[1:] < 0.0)[0]:
-        brackets.append((float(grid[k]), float(grid[k + 1])))
-    brackets.sort()
-    return brackets
-
-
 def _refine(params: GameParams, lo: float, hi: float) -> float:
-    """Root of _gap in a sign-change bracket by Illinois regula falsi: each
-    step cuts the bracket at the secant through its ends, and an end kept
-    twice in a row has its value halved.  Stops once the bracket is at most
-    ROOT_BISECTION_WIDTH wide or no float lies strictly inside it, and
-    returns its deterred end, where _gap < 0 (or a point where _gap is
-    exactly 0), so that gamma is 0 at the returned root."""
-    f_lo, f_hi = _gap(params, lo**2), _gap(params, hi**2)
+    """Root of the pressure gap in a sign-change bracket by Illinois regula
+    falsi: each step cuts the bracket at the secant through its ends, and an
+    end kept twice in a row has its value halved.  Stops once the bracket is
+    at most ROOT_BISECTION_WIDTH wide or no float lies strictly inside it,
+    and returns its deterred end, where the gap is negative (or a point where
+    it is exactly 0), so that gamma is 0 at the returned root."""
+    f_lo, f_hi = (_pressure_gap(params, x**2, 0.0) for x in (lo, hi))
     kept = 0  # +1 when lo was kept by the last step, -1 when hi was
     while hi - lo > ROOT_BISECTION_WIDTH:
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -172,7 +152,7 @@ def _refine(params: GameParams, lo: float, hi: float) -> float:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break
-        f_x = _gap(params, x**2)
+        f_x = _pressure_gap(params, x**2, 0.0)
         if f_x == 0.0:
             return x
         if (f_x < 0.0) == (f_lo < 0.0):
@@ -193,7 +173,14 @@ def threshold_crossings(params: GameParams) -> list[float]:
     More than one root can occur away from the default conventions (and for
     extreme kappa); ``tau_exact`` always uses the smallest.
     """
-    return [_refine(params, lo, hi) for lo, hi in _crossing_brackets(params)]
+    # sign-change brackets of the gap on a uniform scan
+    grid, squares = _sigma_grid(params.M, ROOT_SCAN_INTERVALS + 1)
+    f = _pressure_gap(params, squares, 0.0)
+    brackets = [(float(grid[k]), float(grid[k]))
+                for k in np.nonzero(f[1:] == 0.0)[0] + 1]
+    for k in np.nonzero(f[:-1] * f[1:] < 0.0)[0]:
+        brackets.append((float(grid[k]), float(grid[k + 1])))
+    return [_refine(params, lo, hi) for lo, hi in sorted(brackets)]
 
 
 def tau_exact(params: GameParams) -> float:
@@ -205,33 +192,27 @@ def tau_exact(params: GameParams) -> float:
     """
     crossings = threshold_crossings(params)
     if not crossings:
-        dominant = "pressure" if _gap(params, params.M**2) > 0 else "abstain"
+        dominant = ("pressure" if _pressure_gap(params, params.M**2, 0.0) > 0
+                    else "abstain")
         raise NoCrossingError(
             f"no crossing of pressure and abstain value on (0, M]: "
             f"{dominant} dominates everywhere", dominant)
     return crossings[0]
 
 
-def thresholds(params: GameParams, include_exact: bool = True) -> Thresholds:
+def _with_exact(params: GameParams, th: Thresholds) -> Thresholds:
+    """The record with tau_exact, or with a note on which side dominates."""
+    try:
+        return Thresholds(tau_exact(params), th.tau_hat, th.kappa, th.notes)
+    except NoCrossingError as exc:
+        return Thresholds(None, th.tau_hat, th.kappa, th.notes + (
+            f"tau_exact absent: {exc.dominant} dominates on (0, M]",))
+
+
+def thresholds(params: GameParams) -> Thresholds:
     """Assemble the threshold record, mapping undefined or infinite values to
     absent entries with a diagnostic note."""
-    notes: list[str] = []
-    tau_h: float | None
-    try:
-        tau_h = tau_hat(params)
-        if math.isinf(tau_h):
-            tau_h = None
-            notes.append("tau_hat infinite: C_S = 0, no finite promise deters")
-    except UndefinedThresholdError:
-        tau_h = None
-        notes.append("tau_hat undefined: P_S <= C_S")
-    tau_e: float | None = None
-    if include_exact:
-        try:
-            tau_e = tau_exact(params)
-        except NoCrossingError as exc:
-            notes.append(f"tau_exact absent: {exc.dominant} dominates on (0, M]")
-    return Thresholds(tau_e, tau_h, kappa(params), tuple(notes))
+    return _with_exact(params, _closed_form(params)[3])
 
 
 def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
@@ -240,7 +221,7 @@ def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
     users at their induced symmetric response gamma(sigma_L): M where
     privacy pressure exceeds the abstain value, else 0."""
     v_L = _variance(params, "sigma_L", sigma_L)
-    obfuscate = _privacy_loss(params, v_L, 0.0) > _abstain(params, v_L, 0.0)
+    obfuscate = _pressure_gap(params, v_L, 0.0) > 0
     return _learner(params, v_L, params.M**2 * obfuscate)
 
 
@@ -260,32 +241,31 @@ def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
     return float(util) if util.ndim == 0 else util
 
 
-def _kappa_threshold(params: GameParams) -> float:
-    """ln(A_L/C_L) * ln(P_S/(P_S - C_S)); 0 when C_S/P_S is 0, nan when
-    P_S <= C_S, +/-inf when C_L = 0."""
-    if params.P_S <= params.C_S:
-        return math.nan
-    privacy_log = _privacy_log(params)
-    if privacy_log == 0:
-        return 0.0
-    if params.C_L == 0:
-        return math.inf
-    return math.log(params.A_L / params.C_L) * privacy_log
-
-
 def _closed_form(params: GameParams) -> tuple[
-        RegimeConditions, str | None, EquilibriumRegime]:
-    """The paper's closed form: the two classifying inequalities, the reason
-    the point lies within BOUNDARY_BAND of either (None when it does not),
-    and the table row they select.  The row is derived on Boundary points
-    too, so that pbne_solve can solve and verify them: a privacy surplus
-    above A_S selects PrivacyPromise when kappa falls short of the promise
-    threshold (exact ties go to no promise) and FullObfuscation otherwise."""
+        RegimeConditions, str | None, EquilibriumRegime, Thresholds]:
+    """The paper's closed form from one evaluation of the privacy log: the
+    two classifying inequalities, the reason the point lies within
+    BOUNDARY_BAND of either (None when it does not), the table row they
+    select and the threshold record without tau_exact.  The row is derived
+    on Boundary points too, so that pbne_solve can solve and verify them: a
+    privacy surplus above A_S selects PrivacyPromise when kappa falls short
+    of the promise threshold ln(A_L/C_L) ln(P_S/(P_S - C_S)) (exact ties go
+    to no promise; the threshold is nan where P_S <= C_S, 0 where the log
+    is 0, inf where C_L = 0) and FullObfuscation otherwise."""
+    tau_h, threshold = math.nan, math.nan
+    notes = ("tau_hat undefined: P_S <= C_S",)
+    if params.P_S > params.C_S:
+        privacy_log = _privacy_log(params)
+        tau_h = math.sqrt(1.0 / privacy_log) if privacy_log else math.inf
+        threshold = (0.0 if not privacy_log else math.inf if params.C_L == 0
+                     else math.log(params.A_L / params.C_L) * privacy_log)
+        notes = (() if tau_h < math.inf else
+                 ("tau_hat infinite: C_S = 0, no finite promise deters",))
     cond = RegimeConditions(
         privacy_surplus=params.P_S - params.C_S,
         accuracy_benefit=params.A_S,
         kappa=kappa(params),
-        kappa_threshold=_kappa_threshold(params),
+        kappa_threshold=threshold,
     )
     surplus_wins = cond.privacy_surplus > cond.accuracy_benefit
     reason = None
@@ -301,14 +281,17 @@ def _closed_form(params: GameParams) -> tuple[
         regime = EquilibriumRegime.PRIVACY_PROMISE
     else:
         regime = EquilibriumRegime.FULL_OBFUSCATION
-    return cond, reason, regime
+    th = Thresholds(None, None if notes else tau_h, cond.kappa, notes)
+    return cond, reason, regime, th
 
 
-def _promise(params: GameParams, regime: EquilibriumRegime) -> float:
-    """The promise of a table row: tau_hat in PrivacyPromise, else none."""
+def _promise(params: GameParams, regime: EquilibriumRegime,
+             tau_h: float | None) -> float:
+    """The promise of a table row: the record's tau_hat in PrivacyPromise,
+    where it is absent only when infinite, else none."""
     if regime is not EquilibriumRegime.PRIVACY_PROMISE:
         return 0.0
-    promise = tau_hat(params)
+    promise = math.inf if tau_h is None else tau_h
     if promise > params.M:
         raise InfeasiblePromiseError(
             f"tau_hat={promise:.6g} exceeds M={params.M}; enlarge M", promise)
@@ -319,22 +302,27 @@ def sg_equilibrium(params: GameParams) -> float:
     """Closed-form optimal promise when P_S - C_S > A_S: no promise when
     kappa exceeds ln(A_L/C_L) ln(P_S/(P_S - C_S)), tau_hat when it falls
     short; exact ties resolve to no promise."""
-    _, _, regime = _closed_form(params)
+    _, _, regime, th = _closed_form(params)
     if regime is EquilibriumRegime.STATUS_QUO:
         raise ValueError("sg_equilibrium requires P_S - C_S > A_S; "
                          "classify_regime reports the status quo")
-    return _promise(params, regime)
+    return _promise(params, regime, th.tau_hat)
 
 
-def _report(params: GameParams, regime: EquilibriumRegime, sigma_L: float,
-            sigma_bar: float, cond: RegimeConditions, th: Thresholds,
-            reason: str | None = None) -> EquilibriumReport:
+def _report(params: GameParams, closed_form, sigma_L: float = math.nan,
+            sigma_bar: float = math.nan) -> EquilibriumReport:
+    """The report of _closed_form's result, flagged Boundary where it gives
+    a reason; without an equilibrium (sigma_L nan) its values are nan."""
+    cond, reason, regime, th = closed_form
+    solved = not math.isnan(sigma_L)
     return EquilibriumReport(
         sigma_L_dagger=sigma_L,
         sigma_bar_dagger=sigma_bar,
         regime=regime if reason is None else EquilibriumRegime.BOUNDARY,
-        learner_utility_at_eq=learner_utility(params, sigma_L, sigma_bar),
-        user_utility_at_eq=user_utility(params, sigma_L, sigma_bar, sigma_bar),
+        learner_utility_at_eq=(learner_utility(params, sigma_L, sigma_bar)
+                               if solved else math.nan),
+        user_utility_at_eq=(user_utility(params, sigma_L, sigma_bar, sigma_bar)
+                            if solved else math.nan),
         thresholds=th,
         conditions=cond,
         boundary_reason=reason,
@@ -351,23 +339,13 @@ def classify_regime(params: GameParams) -> EquilibriumReport:
     and carry no equilibrium values.  The thresholds omit tau_exact (no row
     depends on it); pbne_solve reports it.
     """
-    cond, reason, regime = _closed_form(params)
-    th = thresholds(params, include_exact=False)
+    closed_form = _closed_form(params)
+    _, reason, regime, th = closed_form
     if reason is not None:
-        return EquilibriumReport(
-            sigma_L_dagger=math.nan,
-            sigma_bar_dagger=math.nan,
-            regime=EquilibriumRegime.BOUNDARY,
-            learner_utility_at_eq=math.nan,
-            user_utility_at_eq=math.nan,
-            thresholds=th,
-            conditions=cond,
-            boundary_reason=reason,
-        )
-    sigma_bar = (params.M if regime is EquilibriumRegime.FULL_OBFUSCATION
-                 else 0.0)
-    return _report(params, regime, _promise(params, regime), sigma_bar,
-                   cond, th)
+        return _report(params, closed_form)
+    sigma_bar = params.M * (regime is EquilibriumRegime.FULL_OBFUSCATION)
+    return _report(params, closed_form, _promise(params, regime, th.tau_hat),
+                   sigma_bar)
 
 
 def _verify_leader_optimality(params: GameParams, sigma_dagger: float,
@@ -406,10 +384,10 @@ def pbne_solve(params: GameParams) -> EquilibriumReport:
     (_verify_leader_optimality).  Either failure raises InconsistencyError.
     The crowd needs no check: gamma is a best-response fixed point at every
     promise, as the abstain value falls when the crowd's variance grows."""
-    cond, reason, regime = _closed_form(params)
-    sigma_dagger = _promise(params, regime)
-    th = thresholds(params,
-                    include_exact=regime is not EquilibriumRegime.STATUS_QUO)
+    cond, reason, regime, th = _closed_form(params)
+    sigma_dagger = _promise(params, regime, th.tau_hat)
+    if regime is not EquilibriumRegime.STATUS_QUO:
+        th = _with_exact(params, th)
     sigma_bar = gamma(params, sigma_dagger)
     optimum = _verify_leader_optimality(
         params, sigma_dagger, th.tau_exact,
@@ -419,4 +397,5 @@ def pbne_solve(params: GameParams) -> EquilibriumReport:
             f"promise {sigma_dagger:.6g} does not deter: the crowd answers M",
             (sigma_dagger, learner_utility(params, sigma_dagger, sigma_bar)),
             optimum)
-    return _report(params, regime, sigma_dagger, sigma_bar, cond, th, reason)
+    return _report(params, (cond, reason, regime, th), sigma_dagger,
+                   sigma_bar)

@@ -113,6 +113,17 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("inconsistency: promise")
         assert not (tmp_path / "solve.csv").exists()
 
+    @pytest.mark.parametrize("key", ["c_g", "c_p"])
+    def test_non_finite_convention_exits_2(self, tmp_path, capsys, key):
+        # an infinite c_g used to solve to PrivacyPromise, an infinite c_p
+        # to fail the certificate with exit 1
+        cfg = write_config(tmp_path, ROW3_GAME + f"conventions.{key} = inf\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert f"{key} must be finite and positive, got inf" in err
+        assert not (tmp_path / "solve.csv").exists()
+
     def test_missing_key_exits_2(self, tmp_path):
         text = ROW3_GAME.replace("game.P_S = 2.0\n", "")
         cfg = write_config(tmp_path, text)

@@ -294,6 +294,11 @@ class TestValidation:
     def test_rejects_bad_conventions(self):
         with pytest.raises(ValueError):
             ModelConventions(c_g=0.0)
+        for name in ("c_g", "c_p"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=(
+                        f"{name} must be finite and positive, got {value}")):
+                    ModelConventions(**{name: value})
         with pytest.raises(ValueError):
             ModelConventions(privacy_exponent=0.7)
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import obfgame
@@ -14,6 +15,7 @@ from obfgame import (
     EquilibriumRegime,
     GameParams,
     InconsistencyError,
+    InfeasiblePromiseError,
     ModelConventions,
     NoCrossingError,
     UndefinedThresholdError,
@@ -186,6 +188,33 @@ class TestThresholdsRecord:
         free = thresholds(make_params(C_S=0.0))
         assert free.tau_hat is None
         assert any("infinite" in note for note in free.notes)
+
+    # the README example with one change each: tau_exact is absent with a
+    # note naming the side that dominates (0, M]
+    PRESSURE = ("tau_exact absent: pressure dominates on (0, M]",)
+
+    def test_absent_tau_exact_below_an_infeasible_promise(self):
+        params = make_params(M=0.5)
+        assert thresholds(params).notes == self.PRESSURE
+        for solve in (classify_regime, pbne_solve):
+            with pytest.raises(InfeasiblePromiseError):
+                solve(params)
+
+    def test_absent_tau_exact_not_sought_in_the_status_quo(self):
+        params = make_params(A_S=2.0)
+        assert thresholds(params).notes == (
+            "tau_exact absent: abstain dominates on (0, M]",)
+        report = pbne_solve(params)
+        assert report.regime is EquilibriumRegime.STATUS_QUO
+        assert report.thresholds.tau_exact is None
+        assert report.thresholds.notes == ()
+
+    def test_absent_tau_exact_noted_under_full_obfuscation(self):
+        report = pbne_solve(make_params(N=1, M=0.5))
+        assert report.regime is EquilibriumRegime.FULL_OBFUSCATION
+        assert (report.sigma_L_dagger, report.sigma_bar_dagger) == (0.0, 0.5)
+        assert report.thresholds.tau_exact is None
+        assert report.thresholds.notes == self.PRESSURE
 
 
 class TestInducedLeaderUtility:
@@ -483,6 +512,30 @@ class TestProperties:
     def test_every_crossing_is_deterred(self, params):
         for root in threshold_crossings(params):
             assert gamma(params, root) == 0.0
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(params=game_params(), shrink=st.sampled_from([1.0, 0.05]))
+    def test_classify_regime_agrees_with_pbne_solve(self, params, shrink):
+        # off the Boundary the two reports differ only in that pbne_solve
+        # locates tau_exact, or notes its absence after the closed form's
+        # notes; a shrunk M puts some promises beyond it
+        params = dataclasses.replace(params, M=shrink * params.M)
+        try:
+            closed = classify_regime(params)
+        except InfeasiblePromiseError:
+            with pytest.raises(InfeasiblePromiseError):
+                pbne_solve(params)
+            return
+        assume(closed.regime is not EquilibriumRegime.BOUNDARY)
+        solved = pbne_solve(params)
+        notes = solved.thresholds.notes
+        assert notes[:len(closed.thresholds.notes)] == closed.thresholds.notes
+        th = dataclasses.replace(solved.thresholds, tau_exact=None,
+                                 notes=closed.thresholds.notes)
+        # repr compares every field, nan included (kappa_threshold where
+        # P_S <= C_S)
+        assert (repr(dataclasses.replace(solved, thresholds=th))
+                == repr(closed))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(params=game_params(), share=st.floats(0.0, 1.0))
