@@ -9,8 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (GameParams, _pressure_gap, _variance, abstain_value,
-                    privacy_pressure, user_utility)
+from .model import GameParams, _pressure_gap, _variance, user_utility
 
 __all__ = [
     "INDIFFERENCE_TOL",
@@ -90,15 +89,15 @@ class CascadeTrace:
     final_mean_variance: float
 
 
-def _response(params: GameParams, sigma_L: float, sigma_bar_other):
-    """The corner decision rule, elementwise over crowd levels: the masks
-    (obfuscate, abstain), true where the promise-only privacy loss exceeds,
-    or falls short of, the value of abstaining by more than
-    INDIFFERENCE_TOL.  Neither holds where the user is indifferent."""
-    pressure = privacy_pressure(params, sigma_L)
-    abstain = abstain_value(params, sigma_L, sigma_bar_other)
-    return (pressure > abstain + INDIFFERENCE_TOL,
-            pressure < abstain - INDIFFERENCE_TOL)
+def _response(params: GameParams, sigma_L, sigma_bar_other,
+              tol: float = INDIFFERENCE_TOL):
+    """The corner decision rule, elementwise: the masks (obfuscate, abstain),
+    true where the promise-only privacy loss exceeds, or falls short of, the
+    value of abstaining by more than tol; tol = 0 is the strict rule of gamma
+    and the fixed points.  Neither holds where the user is indifferent."""
+    gap = _pressure_gap(params, _variance(params, "sigma_L", sigma_L),
+                        _variance(params, "sigma_bar_other", sigma_bar_other))
+    return gap > tol, gap < -tol
 
 
 def _corner(params: GameParams, obfuscate: bool, abstain: bool) -> BestResponse:
@@ -140,9 +139,8 @@ def mfg_equilibria(params: GameParams, sigma_L: float) -> MfgEquilibria:
     hold at once (bistable); the selected equilibrium follows ``gamma``,
     which picks 0 in the bistable band.
     """
-    v_L = _variance(params, "sigma_L", sigma_L)
-    at_zero = _pressure_gap(params, v_L, 0.0) <= 0
-    at_max = _pressure_gap(params, v_L, params.M**2) >= 0
+    at_zero = not _response(params, sigma_L, 0.0, 0.0)[0]
+    at_max = not _response(params, sigma_L, params.M, 0.0)[1]
     regime = (MfgRegime.BISTABLE if at_zero and at_max
               else MfgRegime.NO_OBFUSCATION if at_zero
               else MfgRegime.FULL_OBFUSCATION)
@@ -155,8 +153,7 @@ def gamma(params: GameParams, sigma_L: float | np.ndarray) -> float | np.ndarray
     loss strictly exceeds the abstain value against a non-obfuscating crowd,
     else 0 (the selection in the bistable band).  Takes a promise or an array
     of promises."""
-    v_L = _variance(params, "sigma_L", sigma_L)
-    return params.M * (_pressure_gap(params, v_L, 0.0) > 0)
+    return params.M * _response(params, sigma_L, 0.0, 0.0)[0]
 
 
 def fixed_point_check(params: GameParams, sigma_L: float, sigma_bar: float) -> bool:

@@ -99,6 +99,18 @@ class GameParams:
         for name in ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "N", int(self.N))
+        # the laws need M^2 and kappa as positive floats
+        if not 0 < self.M * self.M < math.inf:
+            raise ValueError(
+                f"M={self.M} must have a finite positive square M*M")
+        try:
+            scale = kappa(self)
+        except (OverflowError, ZeroDivisionError):
+            scale = math.nan
+        if not 0 < scale < math.inf:
+            raise ValueError(
+                f"rho={self.rho} and N={self.N} must give a finite positive "
+                f"kappa = 1/(rho^2 N)")
 
 
 def kappa(params: GameParams) -> float:

@@ -22,7 +22,6 @@ from .model import (
     GameParams,
     _learner,
     _pressure_gap,
-    _variance,
     kappa,
     learner_utility,
     user_utility,
@@ -112,6 +111,24 @@ def _privacy_log(params: GameParams) -> float:
             or -math.log1p(-params.C_S / params.P_S))
 
 
+def _inverse_root(privacy_log: float) -> float:
+    """sqrt(1/privacy_log): inf where the log is 0, and 1/sqrt(privacy_log)
+    where the reciprocal overflows (a subnormal log, as for C_S ~ 1e-310)."""
+    if not privacy_log:
+        return math.inf
+    reciprocal = 1.0 / privacy_log
+    return (math.sqrt(reciprocal) if reciprocal < math.inf
+            else 1.0 / math.sqrt(privacy_log))
+
+
+def _log_quotient(a: float, b: float) -> float:
+    """ln(a/b) for positive a and b; ln(a) - ln(b) where the quotient
+    underflows to 0 or overflows."""
+    quotient = a / b
+    return (math.log(quotient) if 0 < quotient < math.inf
+            else math.log(a) - math.log(b))
+
+
 def tau_hat(params: GameParams) -> float:
     """Closed-form promise sqrt(1/ln(P_S/(P_S - C_S))) that caps the privacy
     loss of a non-obfuscating user at exactly C_S.
@@ -123,8 +140,7 @@ def tau_hat(params: GameParams) -> float:
     if params.P_S <= params.C_S:
         raise UndefinedThresholdError(
             f"tau_hat undefined: P_S={params.P_S} <= C_S={params.C_S}")
-    privacy_log = _privacy_log(params)
-    return math.sqrt(1.0 / privacy_log) if privacy_log else math.inf
+    return _inverse_root(_privacy_log(params))
 
 
 @lru_cache(maxsize=32)
@@ -192,8 +208,7 @@ def tau_exact(params: GameParams) -> float:
     """
     crossings = threshold_crossings(params)
     if not crossings:
-        dominant = ("pressure" if _pressure_gap(params, params.M**2, 0.0) > 0
-                    else "abstain")
+        dominant = "pressure" if gamma(params, params.M) else "abstain"
         raise NoCrossingError(
             f"no crossing of pressure and abstain value on (0, M]: "
             f"{dominant} dominates everywhere", dominant)
@@ -220,9 +235,7 @@ def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
     """Exact leader payoff at a promise (or an array of promises), with the
     users at their induced symmetric response gamma(sigma_L): M where
     privacy pressure exceeds the abstain value, else 0."""
-    v_L = _variance(params, "sigma_L", sigma_L)
-    obfuscate = _pressure_gap(params, v_L, 0.0) > 0
-    return _learner(params, v_L, params.M**2 * obfuscate)
+    return learner_utility(params, sigma_L, gamma(params, sigma_L))
 
 
 def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
@@ -256,9 +269,9 @@ def _closed_form(params: GameParams) -> tuple[
     notes = ("tau_hat undefined: P_S <= C_S",)
     if params.P_S > params.C_S:
         privacy_log = _privacy_log(params)
-        tau_h = math.sqrt(1.0 / privacy_log) if privacy_log else math.inf
+        tau_h = _inverse_root(privacy_log)
         threshold = (0.0 if not privacy_log else math.inf if params.C_L == 0
-                     else math.log(params.A_L / params.C_L) * privacy_log)
+                     else _log_quotient(params.A_L, params.C_L) * privacy_log)
         notes = (() if tau_h < math.inf else
                  ("tau_hat infinite: C_S = 0, no finite promise deters",))
     cond = RegimeConditions(
@@ -348,25 +361,29 @@ def classify_regime(params: GameParams) -> EquilibriumReport:
                    sigma_bar)
 
 
-def _verify_leader_optimality(params: GameParams, sigma_dagger: float,
-                              tau_exact: float | None, tie: bool):
-    """Certify the promise against the exact sup of the induced leader
-    utility U on [0, M] and return that optimum as (sigma_L, utility).
-    Between crossings the crowd is constant and U falls in sigma_L, so the
-    sup is U(0) or U(tau_exact), where the crowd is deterred (in the status
-    quo tau_exact is None and U(0) = A_L).  The promise may fall short of it
-    by the closed form's two approximations: it values full obfuscation at
-    0, not A_L exp(-c_g kappa M^2), and it decides at tau_hat, where a promise
-    pays L = A_L exp(-c_g kappa tau_hat^2) - C_L.  Tie rows (Boundary, no
-    promise) count L at most 0, as kappa ties go to no promise."""
-    closed = induced_leader_utility(params, sigma_dagger)
+def _verify_leader_optimality(params: GameParams, report: EquilibriumReport):
+    """Certify the report's promise against the exact sup of the induced
+    leader utility U on [0, M] (the report's U_L is U at its promise) and
+    return that optimum as (sigma_L, utility).  Between crossings the crowd
+    is constant and U falls in sigma_L, so the sup is U(0) or U(tau_exact),
+    where the crowd is deterred (in the status quo tau_exact is None and
+    U(0) = A_L).  The promise may fall short of it by the closed form's two
+    approximations: it values full obfuscation at 0, not
+    A_L exp(-c_g kappa M^2), and it decides at tau_hat (inf where absent),
+    where a promise pays L = A_L exp(-c_g kappa tau_hat^2) - C_L.  Tie rows
+    (Boundary, no promise) count L at most 0, as kappa ties go to no promise."""
+    sigma_dagger, closed = report.sigma_L_dagger, report.learner_utility_at_eq
+    th = report.thresholds
     arg, sup = 0.0, induced_leader_utility(params, 0.0)
     bound = _learner(params, 0.0, params.M**2)
-    if tau_exact is not None:
-        at_exact = induced_leader_utility(params, tau_exact)
+    if th.tau_exact is not None:
+        at_exact = induced_leader_utility(params, th.tau_exact)
         if at_exact > sup:
-            arg, sup = tau_exact, at_exact
-        decided = _learner(params, tau_hat(params)**2, 0.0)
+            arg, sup = th.tau_exact, at_exact
+        tau_h = math.inf if th.tau_hat is None else th.tau_hat
+        # a product: tau_h**2 raises OverflowError where tau_h > ~1.3e154
+        decided = _learner(params, tau_h * tau_h, 0.0)
+        tie = report.boundary_reason is not None and sigma_dagger == 0
         bound += max(0.0, at_exact - (min(decided, 0.0) if tie else decided))
     if sup - closed > bound:
         raise InconsistencyError(
@@ -388,14 +405,11 @@ def pbne_solve(params: GameParams) -> EquilibriumReport:
     sigma_dagger = _promise(params, regime, th.tau_hat)
     if regime is not EquilibriumRegime.STATUS_QUO:
         th = _with_exact(params, th)
-    sigma_bar = gamma(params, sigma_dagger)
-    optimum = _verify_leader_optimality(
-        params, sigma_dagger, th.tau_exact,
-        tie=reason is not None and sigma_dagger == 0)
-    if sigma_dagger > 0 and sigma_bar != 0:
+    report = _report(params, (cond, reason, regime, th), sigma_dagger,
+                     gamma(params, sigma_dagger))
+    optimum = _verify_leader_optimality(params, report)
+    if sigma_dagger > 0 and report.sigma_bar_dagger != 0:
         raise InconsistencyError(
             f"promise {sigma_dagger:.6g} does not deter: the crowd answers M",
-            (sigma_dagger, learner_utility(params, sigma_dagger, sigma_bar)),
-            optimum)
-    return _report(params, (cond, reason, regime, th), sigma_dagger,
-                   sigma_bar)
+            (sigma_dagger, report.learner_utility_at_eq), optimum)
+    return report

@@ -124,6 +124,24 @@ class TestSolveCommand:
         assert f"{key} must be finite and positive, got inf" in err
         assert not (tmp_path / "solve.csv").exists()
 
+    @pytest.mark.parametrize("line, value, message", [
+        ("game.M = 50.0", "1e200",
+         "M=1e+200 must have a finite positive square"),
+        ("game.rho = 1.0", "1e-170",
+         "rho=1e-170 and N=100 must give a finite positive"),
+    ])
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ""), ("cascade", "cascade.sigma_L = 1.0\n")])
+    def test_unrepresentable_derived_constant_exits_2(
+            self, tmp_path, capsys, line, value, message, command, extra):
+        # M*M overflowing, or kappa's rho^2 N underflowing, used to end
+        # solve in a traceback (exit 1) and cascade in a misleading error
+        text = ROW3_GAME.replace(line, line.split("=")[0] + "= " + value)
+        cfg = write_config(tmp_path, text + extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+
     def test_missing_key_exits_2(self, tmp_path):
         text = ROW3_GAME.replace("game.P_S = 2.0\n", "")
         cfg = write_config(tmp_path, text)

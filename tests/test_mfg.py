@@ -8,6 +8,7 @@ from obfgame import (
     GameParams,
     MfgRegime,
     ResponseKind,
+    abstain_value,
     best_response,
     best_response_oracle,
     br_curve,
@@ -15,7 +16,9 @@ from obfgame import (
     fixed_point_check,
     gamma,
     mfg_equilibria,
+    privacy_pressure,
 )
+from obfgame.mfg import INDIFFERENCE_TOL
 
 
 def make_params(**overrides):
@@ -147,6 +150,29 @@ class TestGamma:
                   for s in np.linspace(0, params.M, 500)]
         drops = sum(1 for a, b in zip(values, values[1:]) if b < a)
         assert values[0] == params.M and values[-1] == 0.0 and drops == 1
+
+    def test_strict_rule_inside_the_indifference_band(self):
+        # at the last float promise where pressure still exceeds the abstain
+        # value the gap is far below INDIFFERENCE_TOL: a lone user is
+        # indifferent there, but the induced response and the fixed points
+        # follow the strict rule
+        params = make_params(A_S=0.5, P_S=2.0, C_S=1.0)
+
+        def gap(sigma_L):
+            return (privacy_pressure(params, sigma_L)
+                    - abstain_value(params, sigma_L, 0.0))
+
+        lo, hi = 0.5, 2.0
+        assert gap(lo) > 0 > gap(hi)
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        assert 0 < gap(lo) < INDIFFERENCE_TOL and gap(hi) <= 0
+        assert best_response(params, lo, 0.0).kind is ResponseKind.INDIFFERENT
+        assert gamma(params, lo) == params.M and gamma(params, hi) == 0.0
+        assert mfg_equilibria(params, lo).selected == params.M
+        assert 0.0 not in mfg_equilibria(params, lo).equilibria
+        assert 0.0 in mfg_equilibria(params, hi).equilibria
 
 
 class TestFixedPointCheck:

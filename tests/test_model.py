@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,19 @@ class TestValidation:
     ])
     def test_rejects_non_finite_and_bool_fields(self, field, value):
         with pytest.raises(ValueError):
+            make_params(**{field: value})
+
+    # the laws need M*M and kappa = 1/(rho^2 N) as finite positive floats
+    @pytest.mark.parametrize("field, value, message", [
+        ("M", 1e200, "M=1e+200 must have a finite positive square"),
+        ("M", 1e-170, "M=1e-170 must have a finite positive square"),
+        ("rho", 1e-170, "rho=1e-170 and N=100 must give a finite positive"),
+        ("rho", 1e170, "rho=1e+170 and N=100 must give a finite positive"),
+        ("N", 10**400, "must give a finite positive kappa"),
+    ], ids=["M-over", "M-under", "rho-under", "rho-over", "N-over"])
+    def test_rejects_derived_constants_outside_float_range(
+            self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             make_params(**{field: value})
 
     def test_rejects_bad_conventions(self):

@@ -18,7 +18,10 @@ from obfgame import (
     InfeasiblePromiseError,
     ModelConventions,
     NoCrossingError,
+    ResponseKind,
     UndefinedThresholdError,
+    abstain_value,
+    best_response,
     classify_regime,
     gamma,
     fixed_point_check,
@@ -26,13 +29,17 @@ from obfgame import (
     kappa,
     leader_utility_piecewise,
     learner_utility,
+    mfg_equilibria,
     pbne_solve,
+    privacy_pressure,
     sg_equilibrium,
     tau_exact,
     tau_hat,
     threshold_crossings,
     thresholds,
 )
+from obfgame import stackelberg
+from obfgame.mfg import INDIFFERENCE_TOL
 from obfgame.stackelberg import _verify_leader_optimality
 
 
@@ -41,6 +48,17 @@ def make_params(**overrides):
                 rho=1.0, N=100, M=50.0)
     base.update(overrides)
     return GameParams(**base)
+
+
+def certify(params, promise, exact):
+    """Run the leader certificate on a report of ``promise`` (no Boundary
+    tie) whose threshold record carries ``exact`` as tau_exact."""
+    report = dataclasses.replace(
+        classify_regime(params), sigma_L_dagger=promise,
+        learner_utility_at_eq=induced_leader_utility(params, promise),
+        thresholds=dataclasses.replace(thresholds(params), tau_exact=exact),
+        boundary_reason=None)
+    return _verify_leader_optimality(params, report)
 
 
 def promise_regime_params(rng):
@@ -86,6 +104,41 @@ class TestTauHat:
         assert classify_regime(params).regime is (
             EquilibriumRegime.FULL_OBFUSCATION)
         assert pbne_solve(params).regime is EquilibriumRegime.FULL_OBFUSCATION
+
+    def test_subnormal_deterrence_cost(self):
+        # ln(P_S/(P_S - C_S)) ~ 5e-311 here, whose reciprocal overflows;
+        # tau_hat is still sqrt(P_S/C_S) ~ 1.4e155, not infinite
+        params = make_params(C_S=1e-310)
+        want = math.sqrt(2.0) / math.sqrt(1e-310)
+        assert tau_hat(params) == pytest.approx(want, rel=1e-9)
+        record = thresholds(params)
+        assert record.tau_hat == tau_hat(params) and record.notes == ()
+        # where C_S/P_S underflows to 0 the log reads 0: no finite promise
+        record = thresholds(make_params(C_S=5e-324))
+        assert record.tau_hat is None
+        assert record.notes == (
+            "tau_hat infinite: C_S = 0, no finite promise deters",)
+
+
+class TestFloatRangeEnds:
+    # the README example, with A_L/C_L leaving the float range
+    def test_benefit_cost_quotient_underflows(self):
+        params = make_params(A_L=1e-200, C_L=1e200)
+        report = classify_regime(params)
+        assert report.regime is EquilibriumRegime.FULL_OBFUSCATION
+        assert report.conditions.kappa_threshold == pytest.approx(
+            (math.log(1e-200) - math.log(1e200)) * math.log(2.0), rel=1e-12)
+        assert pbne_solve(params).regime is EquilibriumRegime.FULL_OBFUSCATION
+
+    def test_benefit_cost_quotient_overflows(self):
+        # the threshold is ~7e-308, far below kappa = 0.01: no promise pays
+        params = make_params(A_L=1e300, C_L=1e-310, C_S=1e-310, M=1e150)
+        report = classify_regime(params)
+        assert report.regime is EquilibriumRegime.FULL_OBFUSCATION
+        assert 0 < report.conditions.kappa_threshold < 1e-300
+        assert report.thresholds.tau_hat == pytest.approx(
+            math.sqrt(2.0) / math.sqrt(1e-310), rel=1e-9)
+        assert sg_equilibrium(params) == 0.0
 
 
 def _bisection_oracle(P_S, A_S, C_S, kappa_value, M):
@@ -433,13 +486,26 @@ class TestPbneSolve:
         params = make_params(A_L=2.0, C_L=0.0, A_S=1.0, P_S=1.2, C_S=1.0,
                              rho=1.0, N=10, M=10.0)
         with pytest.raises(InconsistencyError) as info:
-            _verify_leader_optimality(params, 5.0, None, False)
+            certify(params, 5.0, None)
         sigma, utility = info.value.scanned
         assert sigma == 0.0 and utility == pytest.approx(2.0, rel=1e-12)
         assert info.value.closed_form[0] == 5.0
 
 
 class TestLeaderCertificate:
+    def test_certificate_reads_the_threshold_record(self, monkeypatch):
+        # pbne_solve takes tau_hat from the record _closed_form built
+        rng = np.random.default_rng(23)
+        rows = [make_params(), make_params(A_S=2.0), make_params(N=2)]
+        rows += [promise_regime_params(rng) for _ in range(20)]
+        reports = [pbne_solve(params) for params in rows]
+
+        def forbidden(params):
+            raise AssertionError("tau_hat recomputed")
+
+        monkeypatch.setattr(stackelberg, "tau_hat", forbidden)
+        assert [pbne_solve(params) for params in rows] == reports
+
     # the README example: bound 0.0142, tau_exact 0.8515, tau_hat 1.2011
     @pytest.mark.parametrize("promise", [0.0, 0.43, 3.6, 10.0, 25.0, 50.0,
                                          "tau_hat"])
@@ -448,11 +514,10 @@ class TestLeaderCertificate:
         exact = tau_exact(params)
         optimum = (exact, induced_leader_utility(params, exact))
         if promise == "tau_hat":
-            assert _verify_leader_optimality(
-                params, tau_hat(params), exact, False) == optimum
+            assert certify(params, tau_hat(params), exact) == optimum
             return
         with pytest.raises(InconsistencyError) as info:
-            _verify_leader_optimality(params, promise, exact, False)
+            certify(params, promise, exact)
         assert info.value.scanned == optimum
         assert info.value.closed_form == (
             promise, induced_leader_utility(params, promise))
@@ -469,8 +534,7 @@ class TestLeaderCertificate:
         assert info.value.closed_form[0] == tau_hat(params)
         if N == 10_000:
             assert "does not deter" in str(info.value)
-            assert _verify_leader_optimality(
-                params, tau_hat(params), tau_exact(params), False)[0] == 0.0
+            assert certify(params, tau_hat(params), tau_exact(params))[0] == 0.0
 
     def test_threshold_ignoring_c_g_raises(self):
         # kappa = 0.5 exceeds ln(A_L/C_L) ln 2 = 0.48, so the closed form
@@ -536,6 +600,26 @@ class TestProperties:
         # P_S <= C_S)
         assert (repr(dataclasses.replace(solved, thresholds=th))
                 == repr(closed))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(params=game_params(), share=st.floats(0.0, 1.0))
+    def test_best_response_and_induced_response_read_one_rule(
+            self, params, share):
+        # away from the indifference band the tolerant rule of best
+        # responses agrees with the strict rule of gamma, and the fixed
+        # points follow the strict rule at crowds 0 and M; the gaps are
+        # taken from the public laws
+        sigma_L = share**2 * params.M
+        pressure = privacy_pressure(params, sigma_L)
+        gap_0 = pressure - abstain_value(params, sigma_L, 0.0)
+        gap_M = pressure - abstain_value(params, sigma_L, params.M)
+        assume(abs(gap_0) > INDIFFERENCE_TOL)
+        obfuscates = best_response(params, sigma_L, 0.0).kind is ResponseKind.MAX
+        assert obfuscates == (gamma(params, sigma_L) == params.M)
+        eq = mfg_equilibria(params, sigma_L)
+        assert (0.0 in eq.equilibria) == (gap_0 <= 0)
+        assert (params.M in eq.equilibria) == (gap_M >= 0)
+        assert eq.selected == gamma(params, sigma_L)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(params=game_params(), share=st.floats(0.0, 1.0))
