@@ -18,15 +18,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dp, erm, mfg, stackelberg
 from .config import GAME_FIELDS, RunConfig, parse_config
-from .errors import (
-    ConfigError,
-    InconsistencyError,
-    InfeasiblePromiseError,
-    ObfGameError,
-)
-from .model import GameParams
+from .errors import ConfigError, InconsistencyError, ObfGameError
+from .model import GameParams, _accepts_grid
 
 ERM_R_SQUARED_THRESHOLD = 0.9
 DP_RELATIVE_DEVIATION_THRESHOLD = 1e-12
@@ -80,19 +77,21 @@ def run_solve(config: RunConfig, out_dir: Path, out_format: str) -> int:
     return 0
 
 
-INFEASIBLE = "Infeasible"
+# the regime cell of a sweep row by index: EquilibriumRegime's members in
+# order, then Infeasible (a promise above M)
+REGIME_CELLS = np.array(
+    [regime.value for regime in stackelberg.EquilibriumRegime]
+    + ["Infeasible"], dtype=object)
+_FULL, _PROMISE, _BOUNDARY, _INFEASIBLE = 1, 2, 3, 4
+SWEEP_CHUNK_ROWS = 1 << 16
 
 
-def _sweep_row(params: GameParams) -> tuple:
-    """regime, sigma_L_dagger, sigma_bar_dagger, U_L and tau_hat of one
-    point; a promise above M gives an Infeasible row with NaN values."""
-    try:
-        report = stackelberg.classify_regime(params)
-    except InfeasiblePromiseError as exc:
-        return (INFEASIBLE, math.nan, math.nan, math.nan, exc.tau_hat)
-    return (report.regime.value, report.sigma_L_dagger,
-            report.sigma_bar_dagger, report.learner_utility_at_eq,
-            report.thresholds.tau_hat)
+def _reprs(values, nan: str = "nan") -> np.ndarray:
+    """The CSV cells of a float or of an array of floats, as an object array
+    of the same shape; nan is written as ``nan``."""
+    values = np.asarray(values, dtype=float)
+    cells = [repr(v) if v == v else nan for v in values.ravel().tolist()]
+    return np.array(cells, dtype=object).reshape(values.shape)
 
 
 def run_sweep(config: RunConfig, out_dir: Path) -> int:
@@ -100,7 +99,8 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
     if not grids:
         raise ConfigError("sweep requires at least one sweep.<param> range")
     names = list(grids)
-    total = math.prod(len(grid) for grid in grids.values())
+    shape = tuple(len(grid) for grid in grids.values())
+    total = math.prod(shape)
     cap = config.get("sweep.max_points")
     if total > cap:
         raise ConfigError(
@@ -110,25 +110,48 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
     base = {name: config.require(f"game.{name}")
             for name in GAME_FIELDS if name not in names}
     conventions = config.conventions()
-    # Build one GameParams per grid point, in lexicographic grid order.
-    points = list(itertools.product(*(g.tolist() for g in grids.values())))
-    params_list = []
-    for values in points:
-        point = dict(zip(names, values))
-        try:
-            params_list.append(
-                GameParams(conventions=conventions, **base, **point))
-        except ValueError as exc:
-            raise ConfigError(f"sweep point {point}: {exc}")
+    values = {name: grid.tolist() for name, grid in grids.items()}
+    fixed = {name: [value] for name, value in base.items()}
+    if not _accepts_grid({**fixed, **values}, conventions):
+        # name the first point, in grid order, that GameParams refuses
+        for point in itertools.product(*values.values()):
+            point = dict(zip(names, point))
+            try:
+                GameParams(conventions=conventions, **base, **point)
+            except ValueError as exc:
+                raise ConfigError(f"sweep point {point}: {exc}")
 
-    header = names + ["regime", "sigma_L_dagger", "sigma_bar_dagger", "U_L",
-                      "tau_hat"]
-    rows = [tuple(values) + _sweep_row(params)
-            for values, params in zip(points, params_list)]
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    infeasible = sum(row[len(names)] == INFEASIBLE for row in rows)
-    print(f"sweep: {total} points -> {out_dir / 'sweep.csv'} "
-          f"({infeasible} infeasible)")
+    # one array axis per swept field, in row order
+    axes = range(len(shape))
+    columns = {**base, **{
+        name: grid.reshape([-1 if axis == i else 1 for axis in axes])
+        for i, (name, grid) in enumerate(grids.items())}}
+    regime, infeasible, tau_h, utility = stackelberg._closed_form_columns(
+        **columns, conventions=conventions)
+    kind = np.where(infeasible, _INFEASIBLE, regime)
+    tau_cells = _reprs(tau_h, nan="")
+    # the table: a promise is tau_hat, full obfuscation's crowd is M, and
+    # Boundary and Infeasible rows carry no equilibrium
+    unsolved = np.where(kind < _BOUNDARY, "0.0", "nan")
+    sigma_L = np.where(kind == _PROMISE, tau_cells, unsolved)
+    sigma_bar = np.where(kind == _FULL, _reprs(columns["M"]), unsolved)
+    cells = [np.broadcast_to(column, shape).ravel().tolist() for column in
+             (REGIME_CELLS[kind], sigma_L, sigma_bar, _reprs(utility),
+              tau_cells)]
+    prefixes = map(",".join, itertools.product(
+        *([repr(value) for value in grid] for grid in values.values())))
+    rows = map(",".join, zip(prefixes, *cells))
+    path = out_dir / "sweep.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(names + ["regime", "sigma_L_dagger",
+                                       "sigma_bar_dagger", "U_L", "tau_hat"])
+                     + "\n")
+        while chunk := list(itertools.islice(rows, SWEEP_CHUNK_ROWS)):
+            handle.write("\n".join(chunk) + "\n")
+    print(f"sweep: {total} points -> {path} "
+          f"({np.count_nonzero(np.broadcast_to(infeasible, shape))} "
+          f"infeasible)")
     return 0
 
 

@@ -82,39 +82,79 @@ class GameParams:
     conventions: ModelConventions = field(default_factory=ModelConventions)
 
     def __post_init__(self):
-        for name in ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M"):
+        for name in _FINITE:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("A_L", "A_S", "P_S", "rho", "M"):
+        for name in _POSITIVE:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        for name in ("C_L", "C_S"):
+        for name in _NON_NEGATIVE:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if isinstance(self.N, bool) or (
-                isinstance(self.N, float) and not self.N.is_integer()):
+        if not _is_count(self.N):
             raise ValueError("N must be an integer >= 1")
-        if self.N < 1:
-            raise ValueError("N must be an integer >= 1")
-        for name in ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M"):
+        for name in _FINITE:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "N", int(self.N))
-        # the laws need M^2 and kappa as positive floats
+        # the laws need M^2, kappa and c_g kappa as positive floats
         if not 0 < self.M * self.M < math.inf:
             raise ValueError(
                 f"M={self.M} must have a finite positive square M*M")
-        try:
-            scale = kappa(self)
-        except (OverflowError, ZeroDivisionError):
-            scale = math.nan
+        scale = _kappa(self.rho, self.N)
         if not 0 < scale < math.inf:
             raise ValueError(
                 f"rho={self.rho} and N={self.N} must give a finite positive "
                 f"kappa = 1/(rho^2 N)")
+        c_g = self.conventions.c_g
+        if not c_g * scale < math.inf:
+            raise ValueError(
+                f"rho={self.rho}, N={self.N} and c_g={c_g} must give a "
+                f"finite c_g * kappa = c_g/(rho^2 N)")
+
+
+_FINITE = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M")
+_POSITIVE = ("A_L", "A_S", "P_S", "rho", "M")
+_NON_NEGATIVE = ("C_L", "C_S")
+
+
+def _is_count(N) -> bool:
+    """An integer N >= 1: an int other than a bool, or an integral float."""
+    return (not isinstance(N, bool)
+            and (not isinstance(N, float) or N.is_integer()) and N >= 1)
+
+
+def _kappa(rho: float, N) -> float:
+    """kappa of a rho and N not yet checked: 1/(rho^2 N), or nan where
+    rho^2 or rho^2 N leaves the float range."""
+    try:
+        return 1.0 / (rho**2 * N)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+def _accepts_grid(values: dict, conventions: ModelConventions) -> bool:
+    """Whether GameParams accepts every point of the grid whose fields take
+    the listed values (``values`` maps each field to a list).  Each of its
+    checks reads one field, or rho and N together, so they run on the
+    values and on the (rho, N) pairs alone."""
+    def every(names, test):
+        return all(test(value) for name in names for value in values[name])
+
+    if not (every(_FINITE, math.isfinite) and every(_POSITIVE, lambda v: v > 0)
+            and every(_NON_NEGATIVE, lambda v: v >= 0)
+            and every(("N",), _is_count)
+            and every(("M",), lambda m: 0 < float(m) * float(m) < math.inf)):
+        return False
+    scales = [_kappa(float(rho), int(n))
+              for rho in values["rho"] for n in values["N"]]
+    return all(0 < scale < math.inf and conventions.c_g * scale < math.inf
+               for scale in scales)
 
 
 def kappa(params: GameParams) -> float:
-    """Accuracy-sensitivity scale 1/(rho^2 N)."""
+    """Accuracy-sensitivity scale 1/(rho^2 N): _kappa's formula on values
+    GameParams has checked, without the call its guard would cost every
+    law."""
     return 1.0 / (params.rho**2 * params.N)
 
 

@@ -20,6 +20,8 @@ from .errors import (
 from .mfg import gamma
 from .model import (
     GameParams,
+    ModelConventions,
+    _kappa,
     _learner,
     _pressure_gap,
     kappa,
@@ -100,15 +102,14 @@ class EquilibriumReport:
     boundary_reason: str | None = None
 
 
-def _privacy_log(params: GameParams) -> float:
+def _privacy_log(P_S: float, C_S: float) -> float:
     """ln(P_S/(P_S - C_S)) for P_S > C_S; 0 only where C_S/P_S is 0.  Where
     the quotient rounds to 1 (C_S/P_S below ~1.1e-16) its log reads 0, and
     -log1p(-C_S/P_S) gives the value instead.  The quotient's log stays
     where it is nonzero: log1p there moves tau_hat by an ulp on 30-50% of
     sampled points, and the report's U_S, a near-cancellation at the
     promise, by up to 1.3e-12 relative."""
-    return (math.log(params.P_S / (params.P_S - params.C_S))
-            or -math.log1p(-params.C_S / params.P_S))
+    return math.log(P_S / (P_S - C_S)) or -math.log1p(-C_S / P_S)
 
 
 def _inverse_root(privacy_log: float) -> float:
@@ -140,7 +141,7 @@ def tau_hat(params: GameParams) -> float:
     if params.P_S <= params.C_S:
         raise UndefinedThresholdError(
             f"tau_hat undefined: P_S={params.P_S} <= C_S={params.C_S}")
-    return _inverse_root(_privacy_log(params))
+    return _inverse_root(_privacy_log(params.P_S, params.C_S))
 
 
 @lru_cache(maxsize=32)
@@ -159,10 +160,13 @@ def _refine(params: GameParams, lo: float, hi: float) -> float:
     end kept twice in a row has its value halved.  Stops once the bracket is
     at most ROOT_BISECTION_WIDTH wide or no float lies strictly inside it,
     and returns its deterred end, where the gap is negative (or a point where
-    it is exactly 0), so that gamma is 0 at the returned root."""
+    it is exactly 0), so that gamma is 0 at the returned root.  It also
+    stops where the ends read the same value and the secant is undefined:
+    the scan's array gap and this scalar gap can disagree on the sign where
+    the gap cancels, and both ends then read -C_S."""
     f_lo, f_hi = (_pressure_gap(params, x**2, 0.0) for x in (lo, hi))
     kept = 0  # +1 when lo was kept by the last step, -1 when hi was
-    while hi - lo > ROOT_BISECTION_WIDTH:
+    while hi - lo > ROOT_BISECTION_WIDTH and f_hi != f_lo:
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -268,7 +272,7 @@ def _closed_form(params: GameParams) -> tuple[
     tau_h, threshold = math.nan, math.nan
     notes = ("tau_hat undefined: P_S <= C_S",)
     if params.P_S > params.C_S:
-        privacy_log = _privacy_log(params)
+        privacy_log = _privacy_log(params.P_S, params.C_S)
         tau_h = _inverse_root(privacy_log)
         threshold = (0.0 if not privacy_log else math.inf if params.C_L == 0
                      else _log_quotient(params.A_L, params.C_L) * privacy_log)
@@ -296,6 +300,60 @@ def _closed_form(params: GameParams) -> tuple[
         regime = EquilibriumRegime.FULL_OBFUSCATION
     th = Thresholds(None, None if notes else tau_h, cond.kappa, notes)
     return cond, reason, regime, th
+
+
+def _elementwise(f, *columns) -> np.ndarray:
+    """f over the broadcast of the columns (numbers or arrays), called on
+    Python numbers so that it rounds as on the scalar path: numpy's log, exp
+    and squares differ from math's and Python's by an ulp on some inputs."""
+    shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
+    args = (np.broadcast_to(column, shape).ravel().tolist()
+            for column in columns)
+    return np.array(list(map(f, *args)), dtype=float).reshape(shape)
+
+
+def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
+                         conventions: ModelConventions):
+    """classify_regime over a grid, each field given as a number or an array
+    (broadcast against the others) of values that GameParams accepts.
+    Returns arrays over the broadcast grid: the regime as an index into
+    EquilibriumRegime, the Infeasible mask (a promise above M), tau_hat (nan
+    where the record has none) and the leader utility at the equilibrium
+    (nan on Boundary and Infeasible points).  Scalar laws run elementwise on
+    Python numbers, each on the fewest fields it reads, and numpy does only
+    +, -, *, /, comparisons and selections in _closed_form's order, so every
+    value is the scalar path's to the bit."""
+    privacy_log = _elementwise(
+        lambda p, c: _privacy_log(p, c) if p > c else math.nan, P_S, C_S)
+    tau_h = _elementwise(_inverse_root, privacy_log)
+    log_benefit = _elementwise(
+        lambda a, c: _log_quotient(a, c) if c else math.inf, A_L, C_L)
+    scale = _elementwise(_kappa, rho, N)
+    with np.errstate(invalid="ignore", over="ignore"):
+        threshold = np.where(privacy_log == 0, 0.0, log_benefit * privacy_log)
+        surplus = P_S - C_S
+        surplus_wins = surplus > A_S
+        distance = np.abs(scale - threshold)
+        boundary = (np.abs(surplus - A_S) <= BOUNDARY_BAND) | (
+            surplus_wins & np.isfinite(threshold)
+            & (distance <= BOUNDARY_BAND))
+        # a tie within PROMISE_TIE_TOL lies in the band: a Boundary point
+        promise_row = surplus_wins & (scale < threshold)
+        regime = np.where(boundary, 3, np.where(
+            promise_row, 2, np.where(surplus_wins, 1, 0)))
+        infeasible = (regime == 2) & (tau_h > M)
+        # learner_utility at the equilibrium, as _accuracy orders it
+        v_L = np.where((regime == 2) & ~infeasible, _elementwise(
+            lambda t: t**2, np.where(tau_h <= M, tau_h, 0.0)), 0.0)
+        v_bar = np.where(regime == 1, _elementwise(lambda m: m**2, M), 0.0)
+        n = np.asarray(N, dtype=float)
+        share = _elementwise(lambda count: (int(count) - 1) / int(count), N)
+        accuracy = (conventions.c_g * scale) * ((v_L + share * v_bar)
+                                                + v_bar / n)
+        utility = A_L * _elementwise(math.exp, -accuracy) - C_L * (v_L > 0)
+        solved = (regime < 3) & ~infeasible
+    return (regime, infeasible, np.where(np.isfinite(tau_h), tau_h, math.nan),
+            np.where(solved, utility, math.nan))
 
 
 def _promise(params: GameParams, regime: EquilibriumRegime,

@@ -1,15 +1,30 @@
+import contextlib
 import functools
+import io
+import itertools
 import json
+import lzma
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obfgame
-from obfgame import GameParams, classify_regime, erm, tau_hat
-from obfgame.cli import main
-from obfgame.config import parse_config
+from obfgame import (
+    GameParams,
+    InfeasiblePromiseError,
+    classify_regime,
+    erm,
+    tau_hat,
+)
+from obfgame.cli import _fmt, main
+from obfgame.config import GAME_FIELDS, parse_config
 from obfgame.errors import ConfigError
 
 ROW3_GAME = """\
@@ -22,6 +37,81 @@ game.rho = 1.0
 game.N = 100
 game.M = 50.0
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the benchmark's sweep grid at its default seed (bench/workloads.py)
+BENCH_SWEEP = """\
+game.A_L = 2.0
+game.A_S = 1.0
+game.C_S = 1.0
+game.rho = 1.0
+game.M = 50.0
+sweep.P_S.min = 0.5
+sweep.P_S.max = 5.0
+sweep.P_S.steps = 40
+sweep.C_L.min = 0.05
+sweep.C_L.max = 2.5
+sweep.C_L.steps = 20
+sweep.N.min = 1
+sweep.N.max = 1000
+sweep.N.steps = 4
+"""
+
+# values of each game field for random sweeps: round numbers put points on
+# the Boundary (P_S - C_S = A_S), M = 0.5 puts promises above M
+SWEEP_POOLS = {
+    "A_L": [2.0, 0.5, 3.5], "C_L": [0.0, 0.5, 1.0], "A_S": [1.0, 0.5],
+    "P_S": [0.5, 1.5, 2.0, 3.0], "C_S": [0.0, 1e-17, 0.5, 1.0],
+    "rho": [1.0, 0.5], "N": [1, 100, 1000], "M": [0.5, 5.0, 50.0],
+}
+
+
+@st.composite
+def sweep_configs(draw):
+    """A valid sweep config over one or two fields, each grid starting at
+    a pool value with a round step, with c_g 1 or not."""
+    swept = draw(st.lists(st.sampled_from(GAME_FIELDS), min_size=1,
+                          max_size=2, unique=True))
+    lines = [f"game.{name} = {draw(st.sampled_from(pool))!r}"
+             for name, pool in SWEEP_POOLS.items() if name not in swept]
+    for name in swept:
+        steps = draw(st.integers(1, 12))
+        low = draw(st.sampled_from(SWEEP_POOLS[name]))
+        step = draw(st.sampled_from([1, 9, 90] if name == "N"
+                                    else [0.25, 0.5, 1.0]))
+        lines += [f"sweep.{name}.min = {low!r}",
+                  f"sweep.{name}.max = {low + step * (steps - 1)!r}",
+                  f"sweep.{name}.steps = {steps}"]
+    lines.append(f"conventions.c_g = {draw(st.sampled_from([1.0, 0.7]))!r}")
+    return "\n".join(lines) + "\n"
+
+
+def scalar_sweep_rows(config):
+    """The data rows of sweep.csv made point by point with classify_regime
+    (a promise above M is an Infeasible row), and the kinds of point among
+    them."""
+    grids = config.sweep_grids()
+    base = {name: config.require(f"game.{name}")
+            for name in GAME_FIELDS if name not in grids}
+    rows, kinds = [], set()
+    grid_values = (grid.tolist() for grid in grids.values())
+    for values in itertools.product(*grid_values):
+        params = GameParams(conventions=config.conventions(), **base,
+                            **dict(zip(grids, values)))
+        try:
+            report = classify_regime(params)
+            cells = (report.regime.value, report.sigma_L_dagger,
+                     report.sigma_bar_dagger, report.learner_utility_at_eq,
+                     report.thresholds.tau_hat)
+        except InfeasiblePromiseError as exc:
+            cells = ("Infeasible", math.nan, math.nan, math.nan, exc.tau_hat)
+        rows.append(",".join(map(_fmt, values + cells)))
+        kinds |= {cells[0]} | {kind for kind, hit in [
+            ("P_S <= C_S", params.P_S <= params.C_S),
+            ("C_S = 0", params.C_S == 0), ("C_L = 0", params.C_L == 0)] if hit}
+    return rows, kinds
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -142,6 +232,22 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error") and message in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ""), ("br-curve", "br_curve.sigma_L = 0.5\n"),
+        ("cascade", "cascade.sigma_L = 1.0\n")])
+    def test_overflowing_accuracy_scale_exits_2(self, tmp_path, capsys,
+                                                command, extra):
+        # kappa = 1e304 but c_g kappa = 1e309: each command used to exit 0,
+        # solve with nan utilities
+        text = (ROW3_GAME.replace("game.rho = 1.0", "game.rho = 1e-152")
+                .replace("game.N = 100", "game.N = 1")
+                + "conventions.c_g = 1e5\n" + extra)
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rho=1e-152, N=1 and c_g=100000.0 must give a "
+            "finite c_g * kappa = c_g/(rho^2 N)\n")
+
     def test_missing_key_exits_2(self, tmp_path):
         text = ROW3_GAME.replace("game.P_S = 2.0\n", "")
         cfg = write_config(tmp_path, text)
@@ -206,6 +312,48 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "config error: sweep point {'N': 2.5}: "
             "N must be an integer >= 1\n")
+
+    def test_overflowing_accuracy_scale_names_the_point(self, tmp_path,
+                                                        capsys):
+        # c_g kappa = 1e309 used to give nan utilities with exit 0
+        text = (self.SWEEP.replace("game.rho = 1.0", "game.rho = 1e-152")
+                .replace("game.N = 100", "game.N = 1")
+                + "conventions.c_g = 1e5\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep point {'P_S': 0.5}: rho=1e-152, N=1 and "
+            "c_g=100000.0 must give a finite c_g * kappa = c_g/(rho^2 N)\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_bench_grid_matches_reference_bytes(self, tmp_path):
+        # the benchmark's sweep at its default seed, against its reference
+        cfg = write_config(tmp_path, BENCH_SWEEP)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        ref = lzma.decompress((ROOT / "bench" / "ref" / "sweep.csv.xz")
+                              .read_bytes())
+        assert (out / "sweep.csv").read_bytes() == ref
+
+    def test_random_grids_match_classify_regime(self):
+        seen = set()
+
+        @settings(max_examples=80, derandomize=True, deadline=None)
+        @given(text=sweep_configs())
+        def check(text):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = write_config(Path(tmp), text)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
+                rows, kinds = scalar_sweep_rows(parse_config(cfg))
+                lines = (Path(tmp) / "sweep.csv").read_text().splitlines()
+            assert lines[1:] == rows
+            seen.update(kinds)
+
+        check()
+        assert seen >= {"StatusQuo", "FullObfuscation", "PrivacyPromise",
+                        "Boundary", "Infeasible", "P_S <= C_S", "C_S = 0",
+                        "C_L = 0"}
 
     def test_sweep_without_ranges_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, ROW3_GAME)

@@ -1,8 +1,11 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obfgame import (
     GameParams,
@@ -15,6 +18,18 @@ from obfgame import (
     privacy_pressure,
     user_utility,
 )
+from obfgame.model import _accepts_grid
+
+
+# a valid point, and valid and invalid values of each field to add to it
+GRID_BASE = dict(A_L=2.0, C_L=1.0, A_S=1.0, P_S=2.0, C_S=0.5, rho=1.0, N=100,
+                 M=50.0)
+GRID_VALUES = {
+    **{name: [1.0, 0.5, 0.0, -1.0, math.inf, math.nan, 1e200, 1e-170]
+       for name in ("A_L", "C_L", "A_S", "P_S", "C_S", "M")},
+    "rho": [1.0, 0.5, 0.0, -1.0, math.nan, 1e-152, 1e-170, 1e170],
+    "N": [1, 100, 3.0, 0, 2.5, -1, True, 10**400],
+}
 
 
 def make_params(**overrides):
@@ -304,6 +319,41 @@ class TestValidation:
             self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             make_params(**{field: value})
+
+    def test_rejects_overflowing_accuracy_scale(self):
+        # kappa = 1e304 is a float but c_g kappa is not: the accuracy level
+        # read inf x 0 = nan at zero noise, and solve wrote nan utilities
+        assert kappa(make_params(rho=1e-152, N=1)) == pytest.approx(1e304)
+        with pytest.raises(ValueError, match=re.escape(
+                "rho=1e-152, N=1 and c_g=100000.0 must give a finite "
+                "c_g * kappa")):
+            make_params(rho=1e-152, N=1,
+                        conventions=ModelConventions(c_g=1e5))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(extra=st.lists(st.sampled_from(
+        [(name, value) for name, pool in GRID_VALUES.items()
+         for value in pool]), max_size=3),
+           c_g=st.sampled_from([1.0, 1e5]))
+    def test_grid_check_agrees_with_construction(self, extra, c_g):
+        # the sweep checks a grid by GameParams' predicates on each field's
+        # values and on the (rho, N) pairs; GameParams is the reference.
+        # The grid is the default point with up to three values added.
+        conventions = ModelConventions(c_g=c_g)
+        values = {name: [value] for name, value in GRID_BASE.items()}
+        for name, value in extra:
+            values[name].append(value)
+        names = list(values)
+
+        def accepted(point):
+            try:
+                GameParams(conventions=conventions, **dict(zip(names, point)))
+            except ValueError:
+                return False
+            return True
+
+        every = all(map(accepted, itertools.product(*values.values())))
+        assert _accepts_grid(values, conventions) == every
 
     def test_rejects_bad_conventions(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,15 @@ class TestTauExact:
                         - abstain_value(params, root, 0.0))
             assert abs(residual) <= 1e-9
 
+    def test_bracket_with_equal_ends_gives_its_deterred_end(self):
+        # the scan's array gap changes sign inside a bracket whose ends the
+        # scalar gap reads as exactly -C_S; the secant divided by zero there
+        params = make_params(A_L=33.52, C_L=0.0718, A_S=0.965, P_S=129.26,
+                             C_S=6.6e-17, rho=0.0271, N=2, M=1.4e10)
+        report = pbne_solve(params)
+        assert report.regime is EquilibriumRegime.FULL_OBFUSCATION
+        assert gamma(params, report.thresholds.tau_exact) == 0.0
+
     def test_no_crossing_in_status_quo(self):
         with pytest.raises(NoCrossingError) as info:
             tau_exact(make_params(A_S=1.0, P_S=1.5, C_S=1.0, N=10, M=10.0))
@@ -555,6 +564,74 @@ class TestLeaderCertificate:
         report = pbne_solve(params)
         assert report.regime is EquilibriumRegime.BOUNDARY
         assert report.sigma_L_dagger == 0.0
+
+
+def scalar_cells(params):
+    """Regime, tau_hat and U_L cells of a sweep row, from classify_regime."""
+    try:
+        report = classify_regime(params)
+    except InfeasiblePromiseError as exc:
+        return "Infeasible", repr(exc.tau_hat), "nan"
+    tau_h = report.thresholds.tau_hat
+    return (report.regime.value, "" if tau_h is None else repr(tau_h),
+            repr(report.learner_utility_at_eq))
+
+
+def column_labels(conventions=ModelConventions(), **columns):
+    """Check _closed_form_columns against classify_regime at every point of
+    the grid the columns span; return the row kinds seen."""
+    results = np.broadcast_arrays(*stackelberg._closed_form_columns(
+        conventions=conventions, **columns))
+    regime, infeasible, tau_h, utility = results
+    labels = [r.value for r in EquilibriumRegime]
+    seen = set()
+    for index in np.ndindex(regime.shape):
+        params = GameParams(conventions=conventions, **{
+            name: np.broadcast_to(value, regime.shape)[index].item()
+            for name, value in columns.items()})
+        tau = float(tau_h[index])
+        got = ("Infeasible" if infeasible[index] else labels[regime[index]],
+               "" if math.isnan(tau) else repr(tau),
+               repr(float(utility[index])))
+        assert got == scalar_cells(params), params
+        seen.add(got[0])
+    return seen
+
+
+class TestClosedFormColumns:
+    def test_acceptance_grid_matches_classify_regime(self):
+        # acceptance 1's grid, one axis per swept field; no point of it lies
+        # within BOUNDARY_BAND of a boundary
+        seen = column_labels(
+            A_L=2.0, C_L=np.linspace(0.05, 2.5, 50).reshape(1, -1, 1),
+            A_S=1.0, P_S=np.linspace(0.5, 5.0, 50).reshape(-1, 1, 1),
+            C_S=1.0, rho=1.0, N=np.array([1, 10, 100, 1000]).reshape(1, 1, -1),
+            M=50.0)
+        assert seen == {"StatusQuo", "FullObfuscation", "PrivacyPromise"}
+
+    def test_kappa_band_is_a_boundary(self):
+        # kappa = 1/rho^2 meets the threshold ln(2) ln(2) at rho = 1/ln 2;
+        # 1e-8 away in rho it is outside the band on either side
+        rho = np.array([1 - 1e-8, 1.0, 1 + 1e-8]) / math.log(2.0)
+        seen = column_labels(A_L=2.0, C_L=1.0, A_S=0.5, P_S=2.0, C_S=1.0,
+                             rho=rho, N=1, M=50.0)
+        assert seen == {"FullObfuscation", "Boundary", "PrivacyPromise"}
+
+    # points where numpy's log, square or exp, float arithmetic on a huge
+    # N, or c_g kappa taken last, in place of the scalar code's would move
+    # tau_hat or U_L by an ulp (the first three are points of
+    # np.linspace(1.6, 5.0, 400))
+    @pytest.mark.parametrize("point, c_g", [
+        (dict(A_L=150.0, P_S=4.292731829573935, rho=0.5, N=5, M=50.0), 1.0),
+        (dict(A_L=150.0, P_S=3.7218045112781954, rho=0.5, N=5, M=50.0), 1.0),
+        (dict(A_L=150.0, P_S=2.0516290726817044, rho=0.5, N=5, M=50.0), 1.0),
+        (dict(A_L=2.0, P_S=2.0, rho=1e-8, N=2**53 + 2, M=2.0), 1.0),
+        (dict(A_L=2.0, P_S=2.0, rho=0.3, N=19, M=1.5), 0.7),
+    ], ids=["log", "square", "exp", "share", "order"])
+    def test_rounding_traps_match_classify_regime(self, point, c_g):
+        seen = column_labels(ModelConventions(c_g=c_g), C_L=1.0, A_S=0.5,
+                             C_S=1.0, **point)
+        assert seen <= {"PrivacyPromise", "FullObfuscation"}
 
 
 @st.composite
