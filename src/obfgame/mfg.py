@@ -3,7 +3,6 @@ response map, and best-response adoption dynamics among N agents."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -166,12 +165,13 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
                      max_rounds: int = 100) -> CascadeTrace:
     """Run corner best-response dynamics for N agents.
 
-    ceil(seed_fraction * N) agents start at M, the rest at 0.  Each round is
-    one full pass updating every agent against the empirical mean deviation
-    of the others; "async" (default) updates in a freshly drawn random order
-    using current states, "sync" updates all agents from the round-start
-    snapshot.  Indifferent agents keep their current action.  Stops after a
-    pass with no change, or after max_rounds with converged=False.
+    k agents start at M and the rest at 0, k the smallest count with
+    k/N >= seed_fraction in float division.  Each round is one full pass
+    updating every agent against the empirical mean deviation of the
+    others; "async" (default) updates in a freshly drawn random order using
+    current states, "sync" updates all agents from the round-start snapshot.
+    Indifferent agents keep their current action.  Stops after a pass with
+    no change, or after max_rounds with converged=False.  A round costs O(N).
     """
     if not 0.0 <= seed_fraction <= 1.0:
         raise ValueError("seed_fraction must lie in [0, 1]")
@@ -181,49 +181,41 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
         raise ValueError("schedule must be 'async' or 'sync'")
 
     n, M = params.N, params.M
-    # An agent's response depends only on k, the number of other agents at
-    # M: their mean deviation is sqrt(M^2 k / (N - 1)), 0 for a lone agent.
-    # The root is capped at M, which it can exceed by rounding at k = N - 1.
-    # None marks indifference (the agent keeps its action), else True for M.
+    # An agent's response depends only on j, the number of other agents at
+    # M: their mean deviation is sqrt(M^2 j / (N - 1)), 0 for a lone agent.
+    # The root is capped at M, which it can exceed by rounding at j = N - 1.
     crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
     obfuscate, abstain = _response(params, sigma_L, crowd)
-    targets = [False if a else True if o else None
-               for o, a in zip(obfuscate.tolist(), abstain.tolist())]
+    # With k agents at M, up[k] says whether an agent at 0 moves to M (it
+    # sees k others there) and down[k] whether an agent at M moves to 0 (it
+    # sees k - 1).
+    up = np.append(obfuscate, False)
+    down = np.insert(abstain, 0, False)
 
     rng = np.random.default_rng(rng_seed)
     states = np.zeros(n, dtype=bool)
-    states[: math.ceil(seed_fraction * n)] = True
-    at_max = int(states.sum())
-
-    def snapshot() -> np.ndarray:
-        return np.where(states, M, 0.0)
-
-    rounds = [snapshot()]
+    states[: np.searchsorted(np.arange(n + 1) / n, seed_fraction)] = True
+    rounds = [np.where(states, M, 0.0)]
     fractions = [states.mean()]
     converged = False
     for _ in range(max_rounds):
-        if schedule == "async":
-            changed = False
-            for i in rng.permutation(n).tolist():
-                current = bool(states[i])
-                target = targets[at_max - current]
-                if target is None or target == current:
-                    continue
-                states[i] = target
-                at_max += 1 if target else -1
-                changed = True
+        k = np.count_nonzero(states)
+        moves = np.where(states, down[k], up[k])
+        if schedule == "sync":
+            states ^= moves
         else:
-            prev = states.copy()
-            # agents at M see at_max - 1 others there, agents at 0 see at_max
-            if at_max > 0 and targets[at_max - 1] is not None:
-                states[prev] = targets[at_max - 1]
-            if at_max < n and targets[at_max] is not None:
-                states[~prev] = targets[at_max]
-            changed = bool(np.any(states != prev))
-            at_max = int(states.sum())
-        rounds.append(snapshot())
+            # Agents at one corner move alike, so those before the first
+            # mover in the order already sit at its destination.  The gap
+            # does not fall as k grows (abstain is a prefix and obfuscate a
+            # suffix of the table), so those after it at the corner it left
+            # all follow it.
+            order = rng.permutation(n)
+            first = order[np.argmax(moves[order])]
+            if moves[first]:
+                states[:] = not states[first]
+        rounds.append(np.where(states, M, 0.0))
         fractions.append(states.mean())
-        if not changed:
+        if not moves.any():
             converged = True
             break
     mean_variance = float(M * M * states.mean())

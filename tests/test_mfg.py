@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from obfgame import (
     GameParams,
     MfgRegime,
+    ModelConventions,
     ResponseKind,
     abstain_value,
     best_response,
@@ -18,7 +22,7 @@ from obfgame import (
     mfg_equilibria,
     privacy_pressure,
 )
-from obfgame.mfg import INDIFFERENCE_TOL
+from obfgame.mfg import INDIFFERENCE_TOL, _response
 
 
 def make_params(**overrides):
@@ -239,6 +243,15 @@ class TestCascade:
         trace = cascade_simulate(params, 1.0, 0.01, rng_seed=1, max_rounds=1)
         assert not trace.converged
 
+    def test_seed_fraction_k_over_n_seeds_k_agents(self):
+        # ceil(0.07 * 100) would seed 8: 0.07 * 100 = 7.000000000000001
+        for n in (1, 3, 7, 100, 300):
+            params = make_params(N=n)
+            for k in range(n + 1):
+                trace = cascade_simulate(params, 0.0, k / n, max_rounds=1)
+                assert np.count_nonzero(trace.rounds[0]) == k
+                assert trace.adoption_fraction[0] == k / n
+
     def test_rejects_bad_arguments(self):
         params = make_params()
         with pytest.raises(ValueError):
@@ -247,6 +260,59 @@ class TestCascade:
             cascade_simulate(params, 0.0, 0.5, max_rounds=0)
         with pytest.raises(ValueError):
             cascade_simulate(params, 0.0, 0.5, schedule="wave")
+
+
+def _exp10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _games(draw, max_n):
+    """A game over wide ranges and a promise, with P_S placed so that the
+    pressure meets the abstain value at a drawn level of the crowd."""
+    conventions = ModelConventions(
+        c_g=draw(_exp10(-2, 4)), c_p=draw(_exp10(-2, 4)),
+        privacy_exponent=draw(st.sampled_from([0.5, 1.0])))
+    params = GameParams(
+        A_L=2.0, C_L=1.0, A_S=draw(_exp10(-3, 3)), P_S=1.0,
+        C_S=draw(st.one_of(st.just(0.0), _exp10(-6, 2))),
+        rho=draw(_exp10(-2, 2)), N=draw(st.integers(1, max_n)),
+        M=draw(_exp10(-4, 4)), conventions=conventions)
+    sigma_L = draw(st.floats(0.0, 1.0)) * params.M
+    crossing = draw(st.floats(0.0, 1.0)) * params.M
+    P_S = (abstain_value(params, sigma_L, crossing)
+           / privacy_pressure(params, sigma_L))
+    assume(P_S > 0)
+    return dataclasses.replace(params, P_S=P_S), sigma_L
+
+
+class TestCascadeProperties:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(game=_games(max_n=2000))
+    def test_response_table_is_monotone_in_the_crowd(self, game):
+        # the table cascade_simulate reads: the others' mean deviation for
+        # k = 0..N-1 others at M.  It runs abstain, then indifferent, then
+        # obfuscate, because the gap does not fall as k grows.
+        params, sigma_L = game
+        n, M = params.N, params.M
+        crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
+        obfuscate, abstain = _response(params, sigma_L, crowd)
+        assert not np.any(abstain[1:] & ~abstain[:-1])
+        assert not np.any(obfuscate[:-1] & ~obfuscate[1:])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(game=_games(max_n=300), seed_fraction=st.floats(0.0, 1.0),
+           rng_seed=st.integers(0, 2**32 - 1))
+    def test_async_round_moves_no_agent_or_all(self, game, seed_fraction,
+                                                rng_seed):
+        params, sigma_L = game
+        trace = cascade_simulate(params, sigma_L, seed_fraction,
+                                 rng_seed=rng_seed)
+        moved = [not np.array_equal(a, b)
+                 for a, b in zip(trace.rounds, trace.rounds[1:])]
+        assert sum(moved) <= 1
+        for after, changed in zip(trace.rounds[1:], moved):
+            assert not changed or np.all(after == after[0])
 
 
 def _mean_other_deviation(states, i, M):
@@ -263,7 +329,7 @@ def _reference_cascade(params, sigma_L, seed_fraction, schedule, rng_seed,
     n, M = params.N, params.M
     rng = np.random.default_rng(rng_seed)
     states = np.zeros(n, dtype=bool)
-    states[: math.ceil(seed_fraction * n)] = True
+    states[: np.searchsorted(np.arange(n + 1) / n, seed_fraction)] = True
     rounds = [np.where(states, M, 0.0)]
     fractions = [states.mean()]
     converged = False
@@ -315,12 +381,25 @@ class TestCascadeEquivalence:
             for fraction in (0.0, 0.3, 1.0):
                 yield params, 0.0, fraction
         yield make_params(**BISTABLE), 1.0, 0.01
+        # tables that move both ways at k: with k agents at M, those at M
+        # (seeing k - 1 others there) abstain and those at 0 obfuscate.
+        # Seeded at k, the first agent in the order decides the direction;
+        # at N = 2k the sync schedule flips every agent each round.
+        for n, k, b in ((200, 100, 0.02), (701, 300, 0.005),
+                        (1500, 1100, 0.001)):
+            # the accuracy level is about b k at promise 0; P_S puts the
+            # crossing at k - 1/2
+            params = make_params(A_S=1.0, C_S=0.1,
+                                 P_S=0.1 + math.exp(-(k - 0.5) * b), rho=1.0,
+                                 N=n, M=n * math.sqrt(b))
+            for seeded in (k - 2, k, k + 1):
+                yield params, 0.0, seeded / n
 
     def test_matches_per_agent_loop(self):
         compared = 0
         for params, sigma_L, fraction in self._cases():
             for schedule, max_rounds in itertools.product(("async", "sync"),
-                                                          (1, 30)):
+                                                          (1, 2, 30)):
                 args = (params, sigma_L, fraction, schedule, 7, max_rounds)
                 trace = cascade_simulate(*args)
                 try:
@@ -338,7 +417,7 @@ class TestCascadeEquivalence:
                 assert trace.converged == converged
                 assert trace.final_mean_variance == mean_variance
                 compared += 1
-        assert compared >= 480
+        assert compared >= 800
 
     def test_full_adoption_where_the_root_rounds_above_M(self):
         # sqrt(0.3^2 * 3 / 3) = 0.30000000000000004 > M
