@@ -8,6 +8,7 @@ injected variance aggregate with a 1/N slope.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -87,8 +88,11 @@ class PerturbationSpec:
 
     def __post_init__(self):
         self.sigma_S_per_user = np.asarray(self.sigma_S_per_user, dtype=float)
-        if self.sigma_L < 0 or np.any(self.sigma_S_per_user < 0):
-            raise ValueError("noise stds must be non-negative")
+        stds = np.append(self.sigma_L, self.sigma_S_per_user)
+        for i in np.flatnonzero(~(np.isfinite(stds) & (stds >= 0)))[:1]:
+            name = f"sigma_S_per_user[{i - 1}]" if i else "sigma_L"
+            raise ValueError(f"{name} must be finite and non-negative, "
+                             f"got {float(stds[i])!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,9 @@ class ErmConfig:
     grad_tolerance: float = 1e-8
 
     def __post_init__(self):
+        if type(self.max_iters) is not int or self.max_iters < 0:
+            raise ValueError(
+                f"max_iters must be an int >= 0, got {self.max_iters!r}")
         for name in ("rho", "grad_tolerance"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -191,6 +198,15 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 
 
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)): it never overflows."""
+    out = np.abs(z)
+    np.exp(np.negative(out, out=out), out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
+
+
 def _loss_change(step: float, q: np.ndarray, margins: np.ndarray,
                  s: np.ndarray) -> np.ndarray:
     """Per-record change of the logistic loss when the margins move from m to
@@ -205,60 +221,70 @@ def _loss_change(step: float, q: np.ndarray, margins: np.ndarray,
     change = np.log1p(s * np.expm1(np.where(near, a, 0.0)))
     if not near.all():
         far = ~near
-        change[far] = (np.logaddexp(0.0, a[far] - margins[far])
-                       - np.logaddexp(0.0, -margins[far]))
+        change[far] = (_softplus(a[far] - margins[far])
+                       - _softplus(-margins[far]))
     return change
 
 
-def erm_fit(data: Dataset, config: ErmConfig) -> FitResult:
-    """Minimize rho/2 ||f||^2 + mean logistic loss by damped Newton.
+def _newton(X: np.ndarray, y: np.ndarray,
+            config: ErmConfig) -> list[FitResult]:
+    """Minimize rho/2 ||f||^2 + mean logistic loss by damped Newton for each
+    problem of a stack: features X (B, n, d), labels y (B, n).
 
-    Each iteration computes the gradient and the d x d Hessian
-    X' diag(sigma(m) sigma(-m)) X / n + rho I from one pass over the margins
-    m and solves for the Newton step p.  The step length t (1, 1/2, 1/4, ...)
-    is the first whose decrease passes the Armijo test, and the decrease is
-    computed exactly: mean(log1p(s expm1(t q))) + rho/2 (t^2 ||p||^2 -
-    2 t w.p) with q = y (X p) and s = sigma(-m), not as the difference of two
-    objective values, which stalls at the rounding floor near the optimum.
-    ``objectives`` starts at the objective at w = 0 (ln 2) and adds the
-    accepted decreases, so it never increases.  When no step length passes
-    (only possible at the rounding floor) the iterate stays put.
-
-    The objective is strictly convex, so the minimizer is unique; iteration
-    stops at grad_tolerance or max_iters (the latter sets converged=False).
+    The Newton step p solves the Hessian X' diag(sigma(m) sigma(-m)) X / n +
+    rho I against the gradient at the margins m.  The step length t (1, 1/2,
+    ...) is the first whose exact decrease (``_loss_change`` plus rho/2 (t^2
+    ||p||^2 - 2 t w.p); a difference of objectives stalls at the rounding
+    floor) passes the Armijo test; where none does, the iterate stays put.
+    ``objectives`` starts at ln 2 (w = 0) and adds the accepted decreases, so
+    it never increases.  A fit stops at grad_tolerance or max_iters
+    (converged=False) and leaves the stack, copied only when it shrinks.
     """
-    X, y = data.features, data.labels
-    n, d = X.shape
-    rho = config.rho
-    w = np.zeros(d)
-    fval = math.log(2.0)
-    objectives = [fval]
-    iterations = 0
-    while True:
-        margins = y * (X @ w)
-        s = np.exp(-np.logaddexp(0.0, margins))  # sigmoid(-m), stably
-        grad = rho * w - X.T @ (y * s) / n
-        grad_norm = float(np.sqrt(grad @ grad))
-        if (grad_norm <= config.grad_tolerance
-                or iterations == config.max_iters):
-            break
-        iterations += 1
-        hessian = (X.T * (s * (1.0 - s))) @ X / n + rho * np.eye(d)
-        p = np.linalg.solve(hessian, grad)
-        q = y * (X @ p)
-        slope, pp, wp = float(grad @ p), float(p @ p), float(w @ p)
-        step = 1.0
+    B, n, d = X.shape
+    rho, tol = config.rho, config.grad_tolerance
+    w, fval = np.zeros((B, d)), np.full(B, math.log(2.0))
+    fits, objectives = [None] * B, [[math.log(2.0)] for _ in range(B)]
+    active = np.arange(B)  # the fits still iterating: the rows of X and y
+    for iteration in itertools.count():
+        margins = y * (X @ w[active][..., None])[..., 0]
+        s = np.exp(-_softplus(margins))  # sigmoid(-m), stably
+        grad = rho * w[active] - ((y * s)[:, None] @ X)[:, 0] / n
+        norm = np.sqrt((grad * grad).sum(axis=1))
+        stop = (norm <= tol) | (iteration == config.max_iters)
+        for k, j in zip(np.flatnonzero(stop).tolist(), active[stop].tolist()):
+            fits[j] = FitResult(Classifier(w[j]), bool(norm[k] <= tol),
+                                iteration, float(norm[k]), objectives[j])
+        if stop.all():
+            return fits
+        if stop.any():
+            keep = ~stop
+            active, X, y = active[keep], X[keep], y[keep]
+            margins, s, grad = margins[keep], s[keep], grad[keep]
+        hessian = ((X * (s * (1.0 - s))[..., None]).transpose(0, 2, 1) @ X / n
+                   + rho * np.eye(d))
+        p = np.linalg.solve(hessian, grad[..., None])[..., 0]
+        q = y * (X @ p[..., None])[..., 0]
+        slope, pp, wp = (np.stack([grad, p, w[active]]) * p).sum(axis=2)
+        step, rows = 1.0, slice(None)  # the fits still searching
         for _ in range(_MAX_HALVINGS):
-            decrease = (float(np.mean(_loss_change(step, q, margins, s)))
-                        + 0.5 * rho * (step * step * pp - 2.0 * step * wp))
-            if decrease <= -_ARMIJO * step * slope:
-                w = w - step * p
-                fval += decrease
+            decrease = (_loss_change(step, q[rows], margins[rows], s[rows])
+                        .mean(axis=1) + 0.5 * rho * (step * step * pp[rows]
+                                                     - 2.0 * step * wp[rows]))
+            passed = decrease <= -_ARMIJO * step * slope[rows]
+            moved = active[rows][passed]
+            w[moved] -= step * p[rows][passed]
+            fval[moved] += decrease[passed]
+            rows = np.arange(len(active))[rows][~passed]
+            if not rows.size:
                 break
             step *= 0.5
-        objectives.append(fval)
-    converged = grad_norm <= config.grad_tolerance
-    return FitResult(Classifier(w), converged, iterations, grad_norm, objectives)
+        for j, f in zip(active.tolist(), fval[active].tolist()):
+            objectives[j].append(f)
+
+
+def erm_fit(data: Dataset, config: ErmConfig) -> FitResult:
+    """Minimize rho/2 ||f||^2 + mean logistic loss (``_newton``, one fit)."""
+    return _newton(data.features[None], data.labels[None], config)[0]
 
 
 def reference_classifier(gen: GeneratorSpec, config: ErmConfig,
@@ -276,15 +302,13 @@ def excess_risk(f_d: Classifier, f_star: Classifier, config: ErmConfig,
     if n_eval < 1000:
         raise ValueError("n_eval must be >= 1000")
     data = generate_synthetic(n_eval, gen.d, gen.separation, rng_seed)
-    X, y = data.features, data.labels
-    loss_d = np.logaddexp(0.0, -y * (X @ f_d.weights))
-    loss_s = np.logaddexp(0.0, -y * (X @ f_star.weights))
-    diffs = loss_d - loss_s
+    losses = _softplus(-data.labels[:, None] * (
+        data.features @ np.stack([f_d.weights, f_star.weights], axis=1)))
+    diffs = losses[:, 0] - losses[:, 1]
     reg_gap = 0.5 * config.rho * (float(f_d.weights @ f_d.weights)
                                   - float(f_star.weights @ f_star.weights))
-    estimate = reg_gap + float(diffs.mean())
-    std_error = float(diffs.std(ddof=1) / math.sqrt(n_eval))
-    return ExcessRisk(estimate, std_error, n_eval)
+    return ExcessRisk(reg_gap + float(diffs.mean()),
+                      float(diffs.std(ddof=1) / math.sqrt(n_eval)), n_eval)
 
 
 def _per_user_stds(v: float, n_records: int,
@@ -300,13 +324,6 @@ def _per_user_stds(v: float, n_records: int,
     stds = np.zeros(n_records)
     stds[1:carriers + 1] = math.sqrt(v * n_records / carriers)
     return stds
-
-
-def _rank(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    ranks[order] = np.arange(len(values), dtype=float)
-    return ranks
 
 
 def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
@@ -325,12 +342,13 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
     determination, the rank correlation between v and the level means, and
     how many fits (the reference fit included) stopped unconverged.
     """
-    if n_records < 2:
-        raise ValueError("n_records must be >= 2")
+    for name, value, least in (("n_records", n_records, 2),
+                               ("replications", replications, 10),
+                               ("n_eval", n_eval, 1000), ("n_ref", n_ref, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     if len(aggregates) < 4:
         raise ValueError("at least 4 noise levels are required")
-    if replications < 10:
-        raise ValueError("replications must be >= 10")
     v_values = np.array(aggregates, dtype=float)
     for v in v_values.tolist():
         if not (math.isfinite(v) and v >= 0):
@@ -342,30 +360,26 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
 
     reference = reference_classifier(gen, config, n_ref,
                                      _task_seed(rng_seed, 0))
-    f_star = reference.classifier
+    features = np.empty((replications, n_records, gen.d))
+    labels = np.empty((replications, n_records))
     levels = []
     for li, v in enumerate(v_values.tolist()):
         stds = _per_user_stds(v, n_records, carriers)
-        estimates = np.empty(replications)
-        unconverged = 0
         for rep in range(replications):
             data = generate_synthetic(n_records, gen.d, gen.separation,
                                       _task_seed(rng_seed, 1, li, rep))
             noisy = perturb_dataset(data, PerturbationSpec(
                 0.0, stds, _task_seed(rng_seed, 2, li, rep)))
-            fit = erm_fit(noisy, config)
-            unconverged += not fit.converged
-            estimates[rep] = excess_risk(
-                fit.classifier, f_star, config, gen, n_eval,
-                _task_seed(rng_seed, 3, li, rep)).estimate
+            features[rep], labels[rep] = noisy.features, noisy.labels
+        fits = _newton(features, labels, config)
+        estimates = np.array([excess_risk(
+            fit.classifier, reference.classifier, config, gen, n_eval,
+            _task_seed(rng_seed, 3, li, rep)).estimate
+            for rep, fit in enumerate(fits)])
         levels.append(ScalingLevel(
-            index=li,
-            v=v,
-            mean_excess_risk=float(estimates.mean()),
-            std_error=float(estimates.std(ddof=1) / math.sqrt(replications)),
-            replications=replications,
-            unconverged=unconverged,
-        ))
+            li, v, float(estimates.mean()),
+            float(estimates.std(ddof=1) / math.sqrt(replications)),
+            replications, sum(not fit.converged for fit in fits)))
 
     means = np.array([lv.mean_excess_risk for lv in levels])
     design = np.vstack([v_values, np.ones_like(v_values)]).T
@@ -375,11 +389,11 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
     r_squared = 1.0 - float(np.sum(residuals**2)) / total if total > 0 else 0.0
     # ranks are distinct integers, so the Spearman formula is exact and a
     # perfectly co-monotone grid yields exactly +1
-    diff = _rank(v_values) - _rank(means)
+    ranks = np.argsort(np.argsort([v_values, means], kind="stable"))
+    diff = ranks[0] - ranks[1]
     n_lv = len(means)
     rank_correlation = 1.0 - 6.0 * float(diff @ diff) / (n_lv * (n_lv**2 - 1))
-    total_unconverged = (sum(lv.unconverged for lv in levels)
-                         + (not reference.converged))
     return ScalingReport(tuple(levels), float(slope), float(intercept),
                          r_squared, rank_correlation, n_records,
-                         total_unconverged)
+                         sum(lv.unconverged for lv in levels)
+                         + (not reference.converged))

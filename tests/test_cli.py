@@ -535,6 +535,20 @@ class TestValidateCommand:
         assert done.returncode == 2, done.stderr
         assert f"config error: {named}" in done.stderr
 
+    @pytest.mark.parametrize("entry, named", [
+        ("experiment.erm.n_eval = 500", "n_eval must be >= 1000"),
+        ("experiment.erm.n_ref = 1", "n_ref must be >= 2"),
+    ])
+    def test_small_samples_exit_2_before_fitting(self, tmp_path, monkeypatch,
+                                                 capsys, entry, named):
+        def no_fit(*args):
+            raise AssertionError("fitted before the sample sizes were checked")
+        monkeypatch.setattr(erm, "_newton", no_fit)
+        cfg = write_config(tmp_path, f"{entry}\n")
+        assert main(["validate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
+
     def test_too_few_replications_refused(self, tmp_path):
         cfg = write_config(tmp_path, "experiment.erm.replications = 1\n")
         assert main(["validate", "--config", cfg,

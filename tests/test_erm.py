@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from obfgame import (
     reference_classifier,
     scaling_experiment,
 )
-from obfgame.erm import _per_user_stds, _task_seed
+from obfgame import erm
+from obfgame.erm import _newton, _per_user_stds, _softplus, _task_seed
 
 
 class TestGenerateSynthetic:
@@ -106,6 +108,24 @@ class TestPerturbDataset:
         with pytest.raises(ValueError):
             perturb_dataset(data, PerturbationSpec(0.0, np.zeros(9), 0))
 
+    @pytest.mark.parametrize("sigma_L, per_user, named", [
+        (math.nan, [0.0, 1.0], "sigma_L must be finite and non-negative, "
+                               "got nan"),
+        (math.inf, [0.0, 1.0], "sigma_L must be finite and non-negative, "
+                               "got inf"),
+        (-1.0, [0.0, 1.0], "sigma_L must be finite and non-negative, "
+                           "got -1.0"),
+        (0.0, [0.0, math.inf], "sigma_S_per_user[1] must be finite and "
+                               "non-negative, got inf"),
+        (0.0, [math.nan, 1.0], "sigma_S_per_user[0] must be finite and "
+                               "non-negative, got nan"),
+        (0.0, [1.0, -2.0], "sigma_S_per_user[1] must be finite and "
+                           "non-negative, got -2.0"),
+    ])
+    def test_rejects_bad_stds(self, sigma_L, per_user, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            PerturbationSpec(sigma_L, np.array(per_user), rng_seed=0)
+
 
 class TestErmFit:
     def test_heavy_regularization_pins_origin(self):
@@ -175,6 +195,87 @@ class TestErmFit:
                   + float(np.mean(np.logaddexp(0.0, -y * (X @ w)))))
         assert fit.objectives[0] == math.log(2.0)
         assert abs(fit.objectives[-1] - direct) <= 1e-14
+
+
+class TestErmConfig:
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, True, "3"])
+    def test_rejects_bad_max_iters(self, max_iters):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"max_iters must be an int >= 0, "
+                                           f"got {max_iters!r}")):
+            ErmConfig(rho=0.1, max_iters=max_iters)
+
+    def test_zero_max_iters_stops_at_origin(self):
+        data = generate_synthetic(100, 2, 1.0, rng_seed=3)
+        fit = erm_fit(data, ErmConfig(rho=0.1, max_iters=0))
+        assert not fit.converged
+        assert fit.iterations == 0
+        assert fit.objectives == [math.log(2.0)]
+        assert np.array_equal(fit.classifier.weights, np.zeros(2))
+
+
+class TestSoftplus:
+    def test_matches_logaddexp_within_4_ulps(self):
+        z = np.concatenate([np.linspace(-745.0, 745.0, 200_001),
+                            np.linspace(-1.0, 1.0, 20_001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softplus(z)
+        want = np.logaddexp(0.0, z)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_infinities_and_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softplus(np.array([np.inf, -np.inf, np.nan]))
+        assert got[0] == np.inf
+        assert got[1] == 0.0
+        assert np.isnan(got[2])
+
+
+def _stack(datasets):
+    return (np.stack([data.features for data in datasets]),
+            np.stack([data.labels for data in datasets]))
+
+
+class TestStackedNewton:
+    def _assert_each_matches_its_own_fit(self, datasets, config):
+        fits = _newton(*_stack(datasets), config)
+        assert len(fits) == len(datasets)
+        for data, fit in zip(datasets, fits):
+            alone = erm_fit(data, config)
+            assert fit.iterations == alone.iterations
+            assert fit.converged == alone.converged
+            assert len(fit.objectives) == len(alone.objectives)
+            assert len(fit.objectives) == fit.iterations + 1
+            assert np.all(np.diff(fit.objectives) <= 0)
+            gap = np.linalg.norm(fit.classifier.weights
+                                 - alone.classifier.weights)
+            assert gap <= 2 * config.grad_tolerance / config.rho
+        return fits
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 400), d=st.integers(1, 6),
+           separations=st.lists(st.floats(0.0, 6.0), min_size=1,
+                                max_size=6),
+           rho=st.floats(1e-3, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_fits_like_each_problem_alone(self, n, d, separations,
+                                                rho, seed):
+        datasets = [generate_synthetic(n, d, sep, _task_seed(seed, i))
+                    for i, sep in enumerate(separations)]
+        self._assert_each_matches_its_own_fit(datasets, ErmConfig(rho=rho))
+
+    def test_active_set_shrinks_mid_run(self):
+        """Fits that converge after 2, 4 and 5 steps leave the stack while
+        two others run on to the cap of 6."""
+        datasets = [generate_synthetic(400, 3, sep, rng_seed=5)
+                    for sep in (0.0, 1.0, 6.0, 0.5, 3.0)]
+        fits = self._assert_each_matches_its_own_fit(
+            datasets, ErmConfig(rho=0.01, max_iters=6))
+        assert [fit.iterations for fit in fits] == [2, 5, 6, 4, 6]
+        assert [fit.converged for fit in fits] == [True, True, False, True,
+                                                   False]
 
 
 class TestReferenceClassifier:
@@ -281,6 +382,20 @@ class TestScalingExperiment:
                                ErmConfig(rho=0.1), aggregates,
                                replications=10, rng_seed=0, n_eval=1000,
                                n_ref=2000)
+
+    @pytest.mark.parametrize("n_eval, n_ref, message", [
+        (500, 2000, "n_eval must be >= 1000"),
+        (1000, 1, "n_ref must be >= 2"),
+    ])
+    def test_rejects_small_samples_before_fitting(self, monkeypatch, n_eval,
+                                                  n_ref, message):
+        def no_fit(*args):
+            raise AssertionError("fitted before the sample sizes were checked")
+        monkeypatch.setattr(erm, "_newton", no_fit)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scaling_experiment(GeneratorSpec(3, 1.0), 100, ErmConfig(rho=0.1),
+                               [0.0, 0.5, 1.0, 2.0], replications=10,
+                               rng_seed=0, n_eval=n_eval, n_ref=n_ref)
 
     def test_degenerate_levels_rejected(self):
         gen = GeneratorSpec(3, 1.0)
