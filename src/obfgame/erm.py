@@ -185,11 +185,10 @@ def perturb_dataset(data: Dataset, spec: PerturbationSpec) -> Dataset:
     if spec.sigma_S_per_user.shape != (data.n,):
         raise ValueError("sigma_S_per_user must have one entry per record")
     rng = np.random.default_rng(spec.rng_seed)
-    user_noise = rng.standard_normal(data.features.shape)
-    learner_noise = rng.standard_normal(data.features.shape)
-    features = (data.features
-                + user_noise * spec.sigma_S_per_user[:, None]
-                + learner_noise * spec.sigma_L)
+    features = data.features + (rng.standard_normal(data.features.shape)
+                                * spec.sigma_S_per_user[:, None])
+    if spec.sigma_L:  # drawn last, so that skipping it moves no other draw
+        features += rng.standard_normal(data.features.shape) * spec.sigma_L
     return Dataset(features, data.labels.copy())
 
 

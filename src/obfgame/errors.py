@@ -45,10 +45,10 @@ class InconsistencyError(ObfGameError):
     callers can diagnose convention mismatches with the threshold formulas."""
 
     def __init__(self, message: str, closed_form: tuple[float, float],
-                 scanned: tuple[float, float]):
+                 exact: tuple[float, float]):
         super().__init__(message)
         self.closed_form = closed_form  # (sigma_L, utility)
-        self.scanned = scanned          # exact optimum (sigma_L, utility)
+        self.exact = exact              # exact optimum (sigma_L, utility)
 
 
 class InfiniteLeakageError(ObfGameError, ValueError):

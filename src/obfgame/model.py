@@ -82,39 +82,16 @@ class GameParams:
     conventions: ModelConventions = field(default_factory=ModelConventions)
 
     def __post_init__(self):
-        for name in _FINITE:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in _POSITIVE:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        for name in _NON_NEGATIVE:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not _is_count(self.N):
-            raise ValueError("N must be an integer >= 1")
-        for name in _FINITE:
+        for names, test, rule in _FIELD_RULES:
+            for name in names:
+                if not test(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}")
+        for name in _FLOATS:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "N", int(self.N))
-        # the laws need M^2, kappa and c_g kappa as positive floats
-        if not 0 < self.M * self.M < math.inf:
-            raise ValueError(
-                f"M={self.M} must have a finite positive square M*M")
-        scale = _kappa(self.rho, self.N)
-        if not 0 < scale < math.inf:
-            raise ValueError(
-                f"rho={self.rho} and N={self.N} must give a finite positive "
-                f"kappa = 1/(rho^2 N)")
-        c_g = self.conventions.c_g
-        if not c_g * scale < math.inf:
-            raise ValueError(
-                f"rho={self.rho}, N={self.N} and c_g={c_g} must give a "
-                f"finite c_g * kappa = c_g/(rho^2 N)")
-
-
-_FINITE = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M")
-_POSITIVE = ("A_L", "A_S", "P_S", "rho", "M")
-_NON_NEGATIVE = ("C_L", "C_S")
+        # not a field: neither settable nor compared; replace() derives it
+        object.__setattr__(self, "_kappa", _derived_kappa(
+            self.M, self.rho, self.N, self.conventions.c_g))
 
 
 def _is_count(N) -> bool:
@@ -123,39 +100,59 @@ def _is_count(N) -> bool:
             and (not isinstance(N, float) or N.is_integer()) and N >= 1)
 
 
-def _kappa(rho: float, N) -> float:
-    """kappa of a rho and N not yet checked: 1/(rho^2 N), or nan where
-    rho^2 or rho^2 N leaves the float range."""
+_FLOATS = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M")
+# GameParams' per-field rules in the order it checks them, each on one field
+_FIELD_RULES = (
+    (_FLOATS, math.isfinite, "finite"),
+    (("A_L", "A_S", "P_S", "rho", "M"), lambda v: v > 0, "strictly positive"),
+    (("C_L", "C_S"), lambda v: v >= 0, "non-negative"),
+    (("N",), _is_count, "an integer >= 1"),
+)
+
+
+def _derived_kappa(M: float, rho: float, N: int, c_g: float) -> float:
+    """kappa = 1/(rho^2 N) of fields that pass _FIELD_RULES, after checking
+    that the laws get M^2, kappa and c_g kappa as finite positive floats;
+    raises ValueError naming the first that is not."""
+    if not 0 < M * M < math.inf:
+        raise ValueError(f"M={M} must have a finite positive square M*M")
     try:
-        return 1.0 / (rho**2 * N)
-    except (OverflowError, ZeroDivisionError):
-        return math.nan
+        scale = 1.0 / (rho**2 * N)
+    except (OverflowError, ZeroDivisionError):  # rho^2 N under- or overflows
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise ValueError(
+            f"rho={rho} and N={N} must give a finite positive "
+            f"kappa = 1/(rho^2 N)")
+    if not c_g * scale < math.inf:
+        raise ValueError(
+            f"rho={rho}, N={N} and c_g={c_g} must give a "
+            f"finite c_g * kappa = c_g/(rho^2 N)")
+    return scale
 
 
 def _accepts_grid(values: dict, conventions: ModelConventions) -> bool:
     """Whether GameParams accepts every point of the grid whose fields take
-    the listed values (``values`` maps each field to a list).  Each of its
-    checks reads one field, or rho and N together, so they run on the
-    values and on the (rho, N) pairs alone."""
-    def every(names, test):
-        return all(test(value) for name in names for value in values[name])
-
-    if not (every(_FINITE, math.isfinite) and every(_POSITIVE, lambda v: v > 0)
-            and every(_NON_NEGATIVE, lambda v: v >= 0)
-            and every(("N",), _is_count)
-            and every(("M",), lambda m: 0 < float(m) * float(m) < math.inf)):
+    the listed values (``values`` maps each field to a list).  A field rule
+    reads one field and a derived constant M, or rho and N together, so the
+    rules run on the values, on each M and on each (rho, N) pair alone."""
+    if not all(test(value) for names, test, _ in _FIELD_RULES
+               for name in names for value in values[name]):
         return False
-    scales = [_kappa(float(rho), int(n))
-              for rho in values["rho"] for n in values["N"]]
-    return all(0 < scale < math.inf and conventions.c_g * scale < math.inf
-               for scale in scales)
+    M, rho, N = (values[name] for name in ("M", "rho", "N"))
+    points = ([(m, rho[0], N[0]) for m in M]
+              + [(M[0], r, n) for r in rho for n in N])
+    try:
+        for m, r, n in points:
+            _derived_kappa(float(m), float(r), int(n), conventions.c_g)
+    except ValueError:
+        return False
+    return True
 
 
 def kappa(params: GameParams) -> float:
-    """Accuracy-sensitivity scale 1/(rho^2 N): _kappa's formula on values
-    GameParams has checked, without the call its guard would cost every
-    law."""
-    return 1.0 / (params.rho**2 * params.N)
+    """Accuracy-sensitivity scale 1/(rho^2 N), as GameParams derived it."""
+    return params._kappa
 
 
 def _variance(params: GameParams, name: str, sigma):
@@ -180,7 +177,7 @@ def _exp(x):
 
 def _accuracy(params: GameParams, v_L, v_bar_other, v_S):
     n = params.N
-    return (params.conventions.c_g * kappa(params)
+    return (params.conventions.c_g * params._kappa
             * (v_L + ((n - 1) / n) * v_bar_other + v_S / n))
 
 

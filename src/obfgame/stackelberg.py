@@ -21,7 +21,7 @@ from .mfg import gamma
 from .model import (
     GameParams,
     ModelConventions,
-    _kappa,
+    _derived_kappa,
     _learner,
     _pressure_gap,
     kappa,
@@ -103,12 +103,14 @@ class EquilibriumReport:
 
 
 def _privacy_log(P_S: float, C_S: float) -> float:
-    """ln(P_S/(P_S - C_S)) for P_S > C_S; 0 only where C_S/P_S is 0.  Where
-    the quotient rounds to 1 (C_S/P_S below ~1.1e-16) its log reads 0, and
-    -log1p(-C_S/P_S) gives the value instead.  The quotient's log stays
-    where it is nonzero: log1p there moves tau_hat by an ulp on 30-50% of
-    sampled points, and the report's U_S, a near-cancellation at the
-    promise, by up to 1.3e-12 relative."""
+    """ln(P_S/(P_S - C_S)): nan where P_S <= C_S, and 0 only where C_S/P_S
+    is 0.  Where the quotient rounds to 1 (C_S/P_S below ~1.1e-16) its log
+    reads 0, and -log1p(-C_S/P_S) gives the value instead.  The quotient's
+    log stays where it is nonzero: log1p there moves tau_hat by an ulp on
+    30-50% of sampled points, and the report's U_S, a near-cancellation at
+    the promise, by up to 1.3e-12 relative."""
+    if not P_S > C_S:
+        return math.nan
     return math.log(P_S / (P_S - C_S)) or -math.log1p(-C_S / P_S)
 
 
@@ -123,8 +125,10 @@ def _inverse_root(privacy_log: float) -> float:
 
 
 def _log_quotient(a: float, b: float) -> float:
-    """ln(a/b) for positive a and b; ln(a) - ln(b) where the quotient
-    underflows to 0 or overflows."""
+    """ln(a/b) for a positive a and a non-negative b: inf where b is 0, and
+    ln(a) - ln(b) where the quotient underflows to 0 or overflows."""
+    if not b:
+        return math.inf
     quotient = a / b
     return (math.log(quotient) if 0 < quotient < math.inf
             else math.log(a) - math.log(b))
@@ -258,48 +262,56 @@ def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
     return float(util) if util.ndim == 0 else util
 
 
+def _table(surplus, A_S, kappa, threshold):
+    """The paper's table on floats or arrays (floats take no numpy call):
+    the row as an index into EquilibriumRegime, 0 unless the surplus beats
+    A_S, 2 where kappa is below the threshold by more than PROMISE_TIE_TOL
+    (ties go to no promise), else 1; and whether the surplus, or a winning
+    surplus's kappa, lies within BOUNDARY_BAND of its bound."""
+    wins = surplus > A_S
+    distance = abs(kappa - threshold)
+    row = wins * (1 + ((kappa < threshold) & (distance > PROMISE_TIE_TOL)))
+    return (row, abs(surplus - A_S) <= BOUNDARY_BAND,
+            wins & (distance <= BOUNDARY_BAND))
+
+
+_REGIMES = tuple(EquilibriumRegime)
+
+
 def _closed_form(params: GameParams) -> tuple[
         RegimeConditions, str | None, EquilibriumRegime, Thresholds]:
     """The paper's closed form from one evaluation of the privacy log: the
     two classifying inequalities, the reason the point lies within
     BOUNDARY_BAND of either (None when it does not), the table row they
     select and the threshold record without tau_exact.  The row is derived
-    on Boundary points too, so that pbne_solve can solve and verify them: a
-    privacy surplus above A_S selects PrivacyPromise when kappa falls short
-    of the promise threshold ln(A_L/C_L) ln(P_S/(P_S - C_S)) (exact ties go
-    to no promise; the threshold is nan where P_S <= C_S, 0 where the log
-    is 0, inf where C_L = 0) and FullObfuscation otherwise."""
-    tau_h, threshold = math.nan, math.nan
-    notes = ("tau_hat undefined: P_S <= C_S",)
-    if params.P_S > params.C_S:
-        privacy_log = _privacy_log(params.P_S, params.C_S)
-        tau_h = _inverse_root(privacy_log)
-        threshold = (0.0 if not privacy_log else math.inf if params.C_L == 0
-                     else _log_quotient(params.A_L, params.C_L) * privacy_log)
-        notes = (() if tau_h < math.inf else
-                 ("tau_hat infinite: C_S = 0, no finite promise deters",))
+    on Boundary points too, so that pbne_solve can solve and verify them.
+    The promise threshold ln(A_L/C_L) ln(P_S/(P_S - C_S)) is nan where
+    P_S <= C_S, 0 where the log is 0 and inf where C_L = 0."""
+    privacy_log = _privacy_log(params.P_S, params.C_S)
+    tau_h = _inverse_root(privacy_log)
     cond = RegimeConditions(
         privacy_surplus=params.P_S - params.C_S,
         accuracy_benefit=params.A_S,
         kappa=kappa(params),
-        kappa_threshold=threshold,
+        kappa_threshold=(0.0 if not privacy_log else
+                         _log_quotient(params.A_L, params.C_L) * privacy_log),
     )
-    surplus_wins = cond.privacy_surplus > cond.accuracy_benefit
-    reason = None
-    if abs(cond.privacy_surplus - cond.accuracy_benefit) <= BOUNDARY_BAND:
-        reason = "privacy surplus within band of accuracy benefit"
-    elif (surplus_wins and math.isfinite(cond.kappa_threshold)
-          and abs(cond.kappa - cond.kappa_threshold) <= BOUNDARY_BAND):
-        reason = "kappa within band of the promise threshold"
-    if not surplus_wins:
-        regime = EquilibriumRegime.STATUS_QUO
-    elif (cond.kappa < cond.kappa_threshold
-          and abs(cond.kappa - cond.kappa_threshold) > PROMISE_TIE_TOL):
-        regime = EquilibriumRegime.PRIVACY_PROMISE
-    else:
-        regime = EquilibriumRegime.FULL_OBFUSCATION
+    row, surplus_band, kappa_band = _table(
+        cond.privacy_surplus, cond.accuracy_benefit, cond.kappa,
+        cond.kappa_threshold)
+    reason = ("privacy surplus within band of accuracy benefit" if surplus_band
+              else "kappa within band of the promise threshold" if kappa_band
+              else None)
+    notes = (() if tau_h < math.inf
+             else ("tau_hat infinite: C_S = 0, no finite promise deters",)
+             if tau_h == math.inf else ("tau_hat undefined: P_S <= C_S",))
     th = Thresholds(None, None if notes else tau_h, cond.kappa, notes)
-    return cond, reason, regime, th
+    return cond, reason, _REGIMES[row], th
+
+
+def _others_share(N) -> float:
+    """(N - 1)/N in integers, as _accuracy takes it."""
+    return (int(N) - 1) / int(N)
 
 
 def _elementwise(f, *columns) -> np.ndarray:
@@ -323,31 +335,22 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
     Python numbers, each on the fewest fields it reads, and numpy does only
     +, -, *, /, comparisons and selections in _closed_form's order, so every
     value is the scalar path's to the bit."""
-    privacy_log = _elementwise(
-        lambda p, c: _privacy_log(p, c) if p > c else math.nan, P_S, C_S)
+    privacy_log = _elementwise(_privacy_log, P_S, C_S)
     tau_h = _elementwise(_inverse_root, privacy_log)
-    log_benefit = _elementwise(
-        lambda a, c: _log_quotient(a, c) if c else math.inf, A_L, C_L)
-    scale = _elementwise(_kappa, rho, N)
+    log_benefit = _elementwise(_log_quotient, A_L, C_L)
+    scale = _elementwise(_derived_kappa, M, rho, N, conventions.c_g)
     with np.errstate(invalid="ignore", over="ignore"):
         threshold = np.where(privacy_log == 0, 0.0, log_benefit * privacy_log)
-        surplus = P_S - C_S
-        surplus_wins = surplus > A_S
-        distance = np.abs(scale - threshold)
-        boundary = (np.abs(surplus - A_S) <= BOUNDARY_BAND) | (
-            surplus_wins & np.isfinite(threshold)
-            & (distance <= BOUNDARY_BAND))
-        # a tie within PROMISE_TIE_TOL lies in the band: a Boundary point
-        promise_row = surplus_wins & (scale < threshold)
-        regime = np.where(boundary, 3, np.where(
-            promise_row, 2, np.where(surplus_wins, 1, 0)))
+        row, surplus_band, kappa_band = _table(P_S - C_S, A_S, scale,
+                                               threshold)
+        regime = np.where(surplus_band | kappa_band, 3, row)
         infeasible = (regime == 2) & (tau_h > M)
         # learner_utility at the equilibrium, as _accuracy orders it
         v_L = np.where((regime == 2) & ~infeasible, _elementwise(
-            lambda t: t**2, np.where(tau_h <= M, tau_h, 0.0)), 0.0)
-        v_bar = np.where(regime == 1, _elementwise(lambda m: m**2, M), 0.0)
+            pow, np.where(tau_h <= M, tau_h, 0.0), 2), 0.0)
+        v_bar = np.where(regime == 1, _elementwise(pow, M, 2), 0.0)
         n = np.asarray(N, dtype=float)
-        share = _elementwise(lambda count: (int(count) - 1) / int(count), N)
+        share = _elementwise(_others_share, N)
         accuracy = (conventions.c_g * scale) * ((v_L + share * v_bar)
                                                 + v_bar / n)
         utility = A_L * _elementwise(math.exp, -accuracy) - C_L * (v_L > 0)
@@ -448,7 +451,7 @@ def _verify_leader_optimality(params: GameParams, report: EquilibriumReport):
             f"promise {sigma_dagger:.6g} (utility {closed:.6g}) is beaten by "
             f"the exact optimum {arg:.6g} (utility {sup:.6g}) beyond the "
             f"closed form's bound {bound:.6g}",
-            closed_form=(sigma_dagger, closed), scanned=(arg, sup))
+            closed_form=(sigma_dagger, closed), exact=(arg, sup))
     return arg, sup
 
 

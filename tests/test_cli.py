@@ -326,6 +326,49 @@ class TestSweepCommand:
             "c_g=100000.0 must give a finite c_g * kappa = c_g/(rho^2 N)\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+    # one grid per rule of GameParams: the sweep names the first point it
+    # refuses in grid order, with GameParams' message.  In the last grid
+    # that point fails M*M, while a later one (P_S = -1) fails a field rule.
+    @pytest.mark.parametrize("changes, sweeps, point, message", [
+        ({"game.A_L": "inf"}, {"P_S": (0.5, 5.0, 2)}, {"P_S": 0.5},
+         "A_L must be finite"),
+        ({}, {"A_S": (-1.0, 1.0, 3)}, {"A_S": -1.0},
+         "A_S must be strictly positive"),
+        ({}, {"C_L": (-0.5, 0.5, 3)}, {"C_L": -0.5},
+         "C_L must be non-negative"),
+        ({}, {"N": (1, 4, 3), "P_S": (2.0, 3.0, 2)}, {"N": 2.5, "P_S": 2.0},
+         "N must be an integer >= 1"),
+        ({}, {"M": (1e-170, 50.0, 2)}, {"M": 1e-170},
+         "M=1e-170 must have a finite positive square M*M"),
+        ({}, {"N": (1, 100, 2), "rho": (1e-155, 1.0, 2)},
+         {"N": 1.0, "rho": 1e-155},
+         "rho=1e-155 and N=1 must give a finite positive "
+         "kappa = 1/(rho^2 N)"),
+        ({"game.N": "1", "conventions.c_g": "1e5"},
+         {"rho": (1e-152, 1.0, 2)}, {"rho": 1e-152},
+         "rho=1e-152, N=1 and c_g=100000.0 must give a finite "
+         "c_g * kappa = c_g/(rho^2 N)"),
+        ({}, {"M": (1e-170, 50.0, 2), "P_S": (2.0, -1.0, 2)},
+         {"M": 1e-170, "P_S": 2.0},
+         "M=1e-170 must have a finite positive square M*M"),
+    ], ids=["non-finite", "non-positive", "negative", "fractional-N", "M*M",
+            "kappa-pair", "c_g-kappa", "later-rule-first"])
+    def test_first_refused_point_names_its_rule(
+            self, tmp_path, capsys, changes, sweeps, point, message):
+        entries = dict(line.split(" = ") for line in ROW3_GAME.splitlines())
+        entries.update(changes)
+        lines = [f"{key} = {value}" for key, value in entries.items()
+                 if key[len("game."):] not in sweeps]
+        for name, (low, high, steps) in sweeps.items():
+            lines += [f"sweep.{name}.min = {low!r}",
+                      f"sweep.{name}.max = {high!r}",
+                      f"sweep.{name}.steps = {steps}"]
+        cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: sweep point {point}: {message}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_bench_grid_matches_reference_bytes(self, tmp_path):
         # the benchmark's sweep at its default seed, against its reference
         cfg = write_config(tmp_path, BENCH_SWEEP)

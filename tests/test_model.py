@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -53,6 +54,27 @@ def random_params(rng):
 
 
 class TestKappa:
+    # GameParams derives kappa once; it must be the formula's bits, also
+    # where N is near 2^53 and int(N) != float(N)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(rho=st.floats(1e-3, 1e3), N=st.one_of(
+               st.integers(1, 10**6), st.integers(2**53 - 99, 2**53 + 99)),
+           new_rho=st.floats(1e-3, 1e3), new_N=st.one_of(
+               st.integers(1, 10**6), st.integers(2**53 - 99, 2**53 + 99)))
+    def test_derived_once_to_the_bit(self, rho, N, new_rho, new_N):
+        params = make_params(rho=rho, N=N)
+        moved = dataclasses.replace(params, rho=new_rho, N=new_N)
+        for p in (params, moved):
+            assert kappa(p).hex() == (1.0 / (p.rho**2 * p.N)).hex()
+
+    def test_derived_kappa_is_not_a_field(self):
+        params = make_params()
+        assert "kappa" not in repr(params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params._kappa = 1.0
+        with pytest.raises(TypeError):
+            make_params(_kappa=1.0)
+
     def test_identity_case(self):
         assert kappa(make_params(rho=1.0, N=1)) == 1.0
 

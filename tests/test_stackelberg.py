@@ -496,7 +496,7 @@ class TestPbneSolve:
                              rho=1.0, N=10, M=10.0)
         with pytest.raises(InconsistencyError) as info:
             certify(params, 5.0, None)
-        sigma, utility = info.value.scanned
+        sigma, utility = info.value.exact
         assert sigma == 0.0 and utility == pytest.approx(2.0, rel=1e-12)
         assert info.value.closed_form[0] == 5.0
 
@@ -527,7 +527,7 @@ class TestLeaderCertificate:
             return
         with pytest.raises(InconsistencyError) as info:
             certify(params, promise, exact)
-        assert info.value.scanned == optimum
+        assert info.value.exact == optimum
         assert info.value.closed_form == (
             promise, induced_leader_utility(params, promise))
 
@@ -553,7 +553,7 @@ class TestLeaderCertificate:
         with pytest.raises(InconsistencyError) as info:
             pbne_solve(params)
         assert info.value.closed_form[0] == 0.0
-        assert info.value.scanned == pytest.approx(
+        assert info.value.exact == pytest.approx(
             (tau_exact(params), 0.6282826312646095), rel=1e-12)
 
     def test_kappa_tie_without_promise_solves(self):
@@ -608,6 +608,28 @@ class TestClosedFormColumns:
             C_S=1.0, rho=1.0, N=np.array([1, 10, 100, 1000]).reshape(1, 1, -1),
             M=50.0)
         assert seen == {"StatusQuo", "FullObfuscation", "PrivacyPromise"}
+
+    def test_one_table_for_floats_and_columns(self):
+        # (surplus, A_S, kappa, threshold) -> (row, surplus band, kappa
+        # band): status quo, a surplus tie, a promise, a kappa tie within
+        # PROMISE_TIE_TOL, a kappa band, full obfuscation, an infinite and
+        # a nan threshold
+        cases = [((0.5, 1.0, 0.1, 0.3), (0, False, False)),
+                 ((1.0, 1.0 + 1e-10, 0.1, 0.3), (0, True, False)),
+                 ((2.0, 1.0, 0.1, 0.3), (2, False, False)),
+                 ((2.0, 1.0, 0.3, 0.3 + 1e-13), (1, False, True)),
+                 ((2.0, 1.0, 0.3, 0.3 + 1e-10), (2, False, True)),
+                 ((2.0, 1.0, 0.5, 0.3), (1, False, False)),
+                 ((2.0, 1.0, 0.1, math.inf), (2, False, False)),
+                 ((2.0, 1.0, 0.1, math.nan), (1, False, False))]
+        for args, want in cases:
+            got = stackelberg._table(*args)
+            assert got == want
+            # Python ints and bools: the float path calls no numpy
+            assert [type(value) for value in got] == [int, bool, bool]
+        args, wants = zip(*cases)
+        columns = stackelberg._table(*map(np.array, zip(*args)))
+        assert [tuple(c.tolist()) for c in columns] == list(zip(*wants))
 
     def test_kappa_band_is_a_boundary(self):
         # kappa = 1/rho^2 meets the threshold ln(2) ln(2) at rho = 1/ln 2;
