@@ -3,12 +3,13 @@ response map, and best-response adoption dynamics among N agents."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import GameParams, _pressure_gap, _variance, user_utility
+from .model import GameParams, _pressure_gap, _quiet, _variance, user_utility
 
 __all__ = [
     "INDIFFERENCE_TOL",
@@ -94,8 +95,8 @@ def _response(params: GameParams, sigma_L, sigma_bar_other,
     true where the promise-only privacy loss exceeds, or falls short of, the
     value of abstaining by more than tol; tol = 0 is the strict rule of gamma
     and the fixed points.  Neither holds where the user is indifferent."""
-    gap = _pressure_gap(params, _variance(params, "sigma_L", sigma_L),
-                        _variance(params, "sigma_bar_other", sigma_bar_other))
+    gap = _quiet(_pressure_gap, params, _variance(params, "sigma_L", sigma_L),
+                 _variance(params, "sigma_bar_other", sigma_bar_other))
     return gap > tol, gap < -tol
 
 
@@ -172,6 +173,11 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     current states, "sync" updates all agents from the round-start snapshot.
     Indifferent agents keep their current action.  Stops after a pass with
     no change, or after max_rounds with converged=False.  A round costs O(N).
+
+    The order decides an async round only where agents at both corners
+    want the other one, which can happen in the first round alone: only
+    then is a random order drawn from rng_seed (a non-negative integer), so
+    rng_seed changes nothing else.
     """
     if not 0.0 <= seed_fraction <= 1.0:
         raise ValueError("seed_fraction must lie in [0, 1]")
@@ -179,6 +185,8 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
         raise ValueError("max_rounds must be >= 1")
     if schedule not in ("async", "sync"):
         raise ValueError("schedule must be 'async' or 'sync'")
+    if operator.index(rng_seed) < 0:  # as np.random.default_rng refuses
+        raise ValueError(f"rng_seed={rng_seed} must be a non-negative integer")
 
     n, M = params.N, params.M
     # An agent's response depends only on j, the number of other agents at
@@ -188,11 +196,11 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     obfuscate, abstain = _response(params, sigma_L, crowd)
     # With k agents at M, up[k] says whether an agent at 0 moves to M (it
     # sees k others there) and down[k] whether an agent at M moves to 0 (it
-    # sees k - 1).
+    # sees k - 1).  The padding keeps a unanimous state from moving away
+    # from its corner.
     up = np.append(obfuscate, False)
     down = np.insert(abstain, 0, False)
 
-    rng = np.random.default_rng(rng_seed)
     states = np.zeros(n, dtype=bool)
     states[: np.searchsorted(np.arange(n + 1) / n, seed_fraction)] = True
     rounds = [np.where(states, M, 0.0)]
@@ -200,22 +208,23 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     converged = False
     for _ in range(max_rounds):
         k = np.count_nonzero(states)
-        moves = np.where(states, down[k], up[k])
-        if schedule == "sync":
-            states ^= moves
-        else:
-            # Agents at one corner move alike, so those before the first
-            # mover in the order already sit at its destination.  The gap
-            # does not fall as k grows (abstain is a prefix and obfuscate a
-            # suffix of the table), so those after it at the corner it left
-            # all follow it.
-            order = rng.permutation(n)
-            first = order[np.argmax(moves[order])]
-            if moves[first]:
+        moving = up[k] or down[k]
+        if up[k] and down[k]:
+            # Every agent wants the other corner: sync swaps them all, and
+            # async takes all where the first of a random order goes, as
+            # the gap does not fall as k grows (abstain is a prefix and
+            # obfuscate a suffix of the table).  Any async move leaves a
+            # unanimous state, so async gets here in round one only.
+            if schedule == "sync":
+                states = ~states
+            else:
+                first = np.random.default_rng(rng_seed).permutation(n)[0]
                 states[:] = not states[first]
+        elif moving:
+            states[:] = up[k]  # all end where the movers go
         rounds.append(np.where(states, M, 0.0))
         fractions.append(states.mean())
-        if not moves.any():
+        if not moving:
             converged = True
             break
     mean_variance = float(M * M * states.mean())

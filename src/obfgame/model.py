@@ -17,6 +17,7 @@ combined variance that protects one record.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +104,8 @@ def _is_count(N) -> bool:
 _FLOATS = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M")
 # GameParams' per-field rules in the order it checks them, each on one field
 _FIELD_RULES = (
-    (_FLOATS, math.isfinite, "finite"),
+    # finite and, for an int too, within the float range
+    (_FLOATS, lambda v: abs(v) <= sys.float_info.max, "finite"),
     (("A_L", "A_S", "P_S", "rho", "M"), lambda v: v > 0, "strictly positive"),
     (("C_L", "C_S"), lambda v: v >= 0, "non-negative"),
     (("N",), _is_count, "an integer >= 1"),
@@ -173,7 +175,19 @@ def _exp(x):
     return math.exp(x) if isinstance(x, float) else np.exp(x)
 
 
-# One kernel per law, over unchecked variances v = sigma^2 (floats or arrays).
+# One kernel per law, over unchecked variances v = sigma^2 (floats or arrays);
+# a caller that passes arrays runs it under _quiet.
+
+def _quiet(kernel, params: GameParams, *v):
+    """kernel(params, *v), with numpy's overflow and divide warnings off if a
+    variance is an array: a level beyond the float range is inf, as on
+    floats, and the laws read exp(-inf) = 0."""
+    for x in v:
+        if not isinstance(x, float):
+            with np.errstate(over="ignore", divide="ignore"):
+                return kernel(params, *v)
+    return kernel(params, *v)
+
 
 def _accuracy(params: GameParams, v_L, v_bar_other, v_S):
     n = params.N
@@ -182,15 +196,11 @@ def _accuracy(params: GameParams, v_L, v_bar_other, v_S):
 
 
 def _privacy(params: GameParams, v_L, v_S):
-    total = v_L + v_S
     cv = params.conventions
-    if isinstance(total, float):
-        try:
-            return cv.c_p * total**-cv.privacy_exponent
-        except (ZeroDivisionError, OverflowError):  # total 0 or below ~1e-308
-            return math.inf
-    with np.errstate(divide="ignore", over="ignore"):
-        return cv.c_p * total**-cv.privacy_exponent
+    try:
+        return cv.c_p * (v_L + v_S)**-cv.privacy_exponent
+    except (ZeroDivisionError, OverflowError):  # total 0 or below ~1e-308
+        return math.inf
 
 
 def _privacy_loss(params: GameParams, v_L, v_S):
@@ -226,9 +236,9 @@ def accuracy_level(params: GameParams, sigma_L, sigma_bar_other, sigma_S):
     Equals c_g * kappa * (sigma_L^2 + ((N-1)/N) sigma_bar_other^2
     + (1/N) sigma_S^2); zero at zero noise.
     """
-    return _accuracy(params, _variance(params, "sigma_L", sigma_L),
-                     _variance(params, "sigma_bar_other", sigma_bar_other),
-                     _variance(params, "sigma_S", sigma_S))
+    return _quiet(_accuracy, params, _variance(params, "sigma_L", sigma_L),
+                  _variance(params, "sigma_bar_other", sigma_bar_other),
+                  _variance(params, "sigma_S", sigma_S))
 
 
 def privacy_level(params: GameParams, sigma_L, sigma_S):
@@ -237,34 +247,35 @@ def privacy_level(params: GameParams, sigma_L, sigma_S):
     c_p * (sigma_L^2 + sigma_S^2) ** -privacy_exponent; math.inf at zero
     total noise (no randomness, unbounded leakage).
     """
-    return _privacy(params, _variance(params, "sigma_L", sigma_L),
-                    _variance(params, "sigma_S", sigma_S))
+    return _quiet(_privacy, params, _variance(params, "sigma_L", sigma_L),
+                  _variance(params, "sigma_S", sigma_S))
 
 
 def user_utility(params: GameParams, sigma_L, sigma_bar_other, sigma_S):
     """One user's payoff: accuracy benefit minus privacy loss minus flat
     obfuscation cost (incurred only for sigma_S > 0)."""
-    return _user(params, _variance(params, "sigma_L", sigma_L),
-                 _variance(params, "sigma_bar_other", sigma_bar_other),
-                 _variance(params, "sigma_S", sigma_S))
+    return _quiet(_user, params, _variance(params, "sigma_L", sigma_L),
+                  _variance(params, "sigma_bar_other", sigma_bar_other),
+                  _variance(params, "sigma_S", sigma_S))
 
 
 def learner_utility(params: GameParams, sigma_L, sigma_bar):
     """Learner payoff when all users perturb at sigma_bar: accuracy benefit
     minus the flat promise cost (incurred only for sigma_L > 0)."""
-    return _learner(params, _variance(params, "sigma_L", sigma_L),
-                    _variance(params, "sigma_bar", sigma_bar))
+    return _quiet(_learner, params, _variance(params, "sigma_L", sigma_L),
+                  _variance(params, "sigma_bar", sigma_bar))
 
 
 def privacy_pressure(params: GameParams, sigma_L):
     """Privacy loss P_S(1 - exp(-eps_p(sigma_L, 0))) a user suffers when
     relying on the learner's promise alone.  Equals P_S at sigma_L = 0 and
     decreases strictly to 0 as the promise grows."""
-    return _privacy_loss(params, _variance(params, "sigma_L", sigma_L), 0.0)
+    return _quiet(_privacy_loss, params,
+                  _variance(params, "sigma_L", sigma_L), 0.0)
 
 
 def abstain_value(params: GameParams, sigma_L, sigma_bar_other):
     """Value of not obfuscating: retained accuracy benefit plus the avoided
     flat cost, A_S exp(-eps_g(sigma_L, sigma_bar_other, 0)) + C_S."""
-    return _abstain(params, _variance(params, "sigma_L", sigma_L),
-                    _variance(params, "sigma_bar_other", sigma_bar_other))
+    return _quiet(_abstain, params, _variance(params, "sigma_L", sigma_L),
+                  _variance(params, "sigma_bar_other", sigma_bar_other))

@@ -24,6 +24,7 @@ from .model import (
     _derived_kappa,
     _learner,
     _pressure_gap,
+    _quiet,
     kappa,
     learner_utility,
     user_utility,
@@ -199,7 +200,7 @@ def threshold_crossings(params: GameParams) -> list[float]:
     """
     # sign-change brackets of the gap on a uniform scan
     grid, squares = _sigma_grid(params.M, ROOT_SCAN_INTERVALS + 1)
-    f = _pressure_gap(params, squares, 0.0)
+    f = _quiet(_pressure_gap, params, squares, 0.0)
     brackets = [(float(grid[k]), float(grid[k]))
                 for k in np.nonzero(f[1:] == 0.0)[0] + 1]
     for k in np.nonzero(f[:-1] * f[1:] < 0.0)[0]:

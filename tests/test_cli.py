@@ -484,6 +484,16 @@ class TestCascadeCommand:
         assert (out_a / "cascade.csv").read_bytes() == (
             out_b / "cascade.csv").read_bytes()
 
+    @pytest.mark.parametrize("schedule", ["async", "sync"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, schedule):
+        cfg = write_config(tmp_path, self.CASCADE
+                           + f"cascade.schedule = {schedule}\n")
+        out = tmp_path / "out"
+        assert main(["cascade", "--config", cfg, "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "config error: rng_seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("sigma_L", ["60", "-1", "nan"])
 @pytest.mark.parametrize("command, extra", [

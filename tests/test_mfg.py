@@ -262,6 +262,67 @@ class TestCascade:
             cascade_simulate(params, 0.0, 0.5, schedule="wave")
 
 
+# The benchmark's cascade game: acceptance 8's bistable example at N = 10^4,
+# with M = 10 sqrt(N).  At promise 1, a seed of k = 7 agents is its only count
+# where agents at both corners want the other one.
+BENCH_CASCADE = dict(BISTABLE, N=10**4, M=1000.0)
+
+
+def _refuse_generator(*args, **kwargs):
+    raise AssertionError("numpy.random.default_rng called")
+
+
+class TestCascadeRandomOrder:
+    def test_no_generator_unless_both_corners_move(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _refuse_generator)
+        bench = make_params(**BENCH_CASCADE)
+        # sync, even where agents at both corners move
+        for fraction in (0.0, 7e-4, 0.01, 1.0):
+            trace = cascade_simulate(bench, 1.0, fraction, schedule="sync")
+            assert trace.converged
+        # async rounds that move one corner
+        trace = cascade_simulate(bench, 1.0, 0.01, rng_seed=1)
+        assert trace.adoption_fraction == [0.01, 1.0, 1.0]
+        # runs converged from the start
+        for fraction in (0.0, 1.0):
+            trace = cascade_simulate(bench, 1.0, fraction, rng_seed=1)
+            assert trace.adoption_fraction == [fraction] * 2
+
+    def test_both_corner_round_draws_its_order(self, monkeypatch):
+        bench = make_params(**BENCH_CASCADE)
+        real = np.random.default_rng
+        seeds = []
+
+        def recording(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        n, M = bench.N, bench.M
+        crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / (n - 1)))
+        obfuscate, abstain = _response(bench, 1.0, crowd)
+        # up[k] = obfuscate[k] and down[k] = abstain[k - 1]
+        assert np.nonzero(obfuscate[1:] & abstain[:-1])[0].tolist() == [6]
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        for rng_seed in range(4):
+            trace = cascade_simulate(bench, 1.0, 7e-4, rng_seed=rng_seed)
+            # every agent goes where the first of the order goes: agents
+            # 0..6 sit at M and move to 0, the others move to M
+            end = float(real(rng_seed).permutation(n)[0] >= 7)
+            assert trace.adoption_fraction == [7e-4, end, end]
+        assert seeds == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("schedule", ["async", "sync"])
+    @pytest.mark.parametrize("fraction", [0.0, 7e-4, 0.01])
+    def test_rejects_seeds_numpy_refuses(self, schedule, fraction):
+        bench = make_params(**BENCH_CASCADE)
+        with pytest.raises(ValueError, match="rng_seed"):
+            cascade_simulate(bench, 1.0, fraction, schedule=schedule,
+                             rng_seed=-1)
+        with pytest.raises(TypeError):
+            cascade_simulate(bench, 1.0, fraction, schedule=schedule,
+                             rng_seed=1.5)
+
+
 def _exp10(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 

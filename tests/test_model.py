@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obfgame import (
+    EquilibriumRegime,
     GameParams,
     ModelConventions,
     abstain_value,
     accuracy_level,
+    cascade_simulate,
+    gamma,
     kappa,
     learner_utility,
+    pbne_solve,
     privacy_level,
     privacy_pressure,
     user_utility,
@@ -320,13 +324,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_params(N=2.5)
 
+    # an int beyond the float range is not finite either
     @pytest.mark.parametrize("field, value", [
         ("C_S", math.nan), ("C_L", math.nan), ("M", math.inf),
         ("A_L", math.inf), ("rho", math.inf), ("P_S", math.inf),
         ("A_S", math.nan), ("C_L", math.inf), ("N", True),
+        pytest.param("A_L", 10**400, id="A_L-10**400"),
+        pytest.param("M", 10**400, id="M-10**400"),
+        pytest.param("C_S", -10**400, id="C_S--10**400"),
     ])
     def test_rejects_non_finite_and_bool_fields(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             make_params(**{field: value})
 
     # the laws need M*M and kappa = 1/(rho^2 N) as finite positive floats
@@ -391,3 +399,52 @@ class TestValidation:
     def test_numeric_fields_normalized(self):
         params = make_params(N=10, M=50)
         assert isinstance(params.M, float) and isinstance(params.N, int)
+
+
+# The README game where c_g kappa = 1e307 is a float but c_g kappa M^2 is not:
+# the accuracy level of a crowd or a promise near M is inf, and the laws read
+# exp(-inf) = 0 there, on arrays as on floats.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAccuracyOverflow:
+    PARAMS = dict(A_L=2.0, C_L=1.0, A_S=0.5, P_S=2.0, C_S=1.0, rho=1e-152,
+                  N=100, M=50.0)
+
+    def params(self):
+        return GameParams(**self.PARAMS,
+                          conventions=ModelConventions(c_g=1e5))
+
+    def test_array_laws_match_their_float_forms(self):
+        params = self.params()
+        levels = np.linspace(0.0, params.M, 6)
+        assert accuracy_level(params, 1.0, levels, 0.0)[-1] == math.inf
+        for law, args in ((accuracy_level, (1.0, levels, 0.0)),
+                          (abstain_value, (1.0, levels)),
+                          (learner_utility, (1.0, levels)),
+                          (user_utility, (1.0, levels, levels)),
+                          (privacy_level, (0.0, levels)),
+                          (privacy_pressure, (levels,))):
+            expected = [law(params, *(a if np.ndim(a) == 0 else float(v)
+                                      for a in args)) for v in levels]
+            np.testing.assert_allclose(law(params, *args), expected,
+                                       rtol=1e-12, atol=1e-15,
+                                       err_msg=law.__name__)
+
+    def test_gamma_on_an_array(self):
+        params = self.params()
+        promises = np.linspace(0.0, params.M, 11)
+        responses = gamma(params, promises)
+        assert responses.tolist() == [gamma(params, float(s))
+                                      for s in promises]
+        assert responses[0] == params.M and responses[-1] == 0.0
+
+    def test_cascade_simulate(self):
+        for schedule in ("async", "sync"):
+            trace = cascade_simulate(self.params(), 1.0, 0.01,
+                                     schedule=schedule)
+            assert trace.converged and trace.adoption_fraction[-1] == 1.0
+
+    def test_pbne_solve(self):
+        report = pbne_solve(self.params())
+        assert report.regime is EquilibriumRegime.FULL_OBFUSCATION
+        # A_L exp(-c_g kappa M^2) = A_L exp(-inf) = 0
+        assert report.learner_utility_at_eq == 0.0
