@@ -7,10 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
+from .crossings import threshold_crossings
 from .errors import (
     InconsistencyError,
     InfeasiblePromiseError,
@@ -23,8 +23,6 @@ from .model import (
     ModelConventions,
     _derived_kappa,
     _learner,
-    _pressure_gap,
-    _quiet,
     kappa,
     learner_utility,
     user_utility,
@@ -53,9 +51,6 @@ BOUNDARY_BAND = 1e-9
 
 # Exact ties in the promise decision go to "no promise".
 PROMISE_TIE_TOL = 1e-12
-
-ROOT_SCAN_INTERVALS = 1000
-ROOT_BISECTION_WIDTH = 1e-12
 
 
 class EquilibriumRegime(Enum):
@@ -149,70 +144,12 @@ def tau_hat(params: GameParams) -> float:
     return _inverse_root(_privacy_log(params.P_S, params.C_S))
 
 
-@lru_cache(maxsize=32)
-def _sigma_grid(M: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """A uniform grid on [0, M] and its squares, both read-only."""
-    grid = np.linspace(0.0, M, n_points)
-    squares = grid**2
-    grid.setflags(write=False)
-    squares.setflags(write=False)
-    return grid, squares
-
-
-def _refine(params: GameParams, lo: float, hi: float) -> float:
-    """Root of the pressure gap in a sign-change bracket by Illinois regula
-    falsi: each step cuts the bracket at the secant through its ends, and an
-    end kept twice in a row has its value halved.  Stops once the bracket is
-    at most ROOT_BISECTION_WIDTH wide or no float lies strictly inside it,
-    and returns its deterred end, where the gap is negative (or a point where
-    it is exactly 0), so that gamma is 0 at the returned root.  It also
-    stops where the ends read the same value and the secant is undefined:
-    the scan's array gap and this scalar gap can disagree on the sign where
-    the gap cancels, and both ends then read -C_S."""
-    f_lo, f_hi = (_pressure_gap(params, x**2, 0.0) for x in (lo, hi))
-    kept = 0  # +1 when lo was kept by the last step, -1 when hi was
-    while hi - lo > ROOT_BISECTION_WIDTH and f_hi != f_lo:
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-        f_x = _pressure_gap(params, x**2, 0.0)
-        if f_x == 0.0:
-            return x
-        if (f_x < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f_x
-            f_hi *= 0.5 if kept == -1 else 1.0
-            kept = -1
-        else:
-            hi, f_hi = x, f_x
-            f_lo *= 0.5 if kept == 1 else 1.0
-            kept = 1
-    return lo if f_lo < 0.0 else hi
-
-
-def threshold_crossings(params: GameParams) -> list[float]:
-    """All roots of pressure - abstain_value found on (0, M], smallest first;
-    each is a promise at which the crowd is deterred (gamma is 0 there).
-
-    More than one root can occur away from the default conventions (and for
-    extreme kappa); ``tau_exact`` always uses the smallest.
-    """
-    # sign-change brackets of the gap on a uniform scan
-    grid, squares = _sigma_grid(params.M, ROOT_SCAN_INTERVALS + 1)
-    f = _quiet(_pressure_gap, params, squares, 0.0)
-    brackets = [(float(grid[k]), float(grid[k]))
-                for k in np.nonzero(f[1:] == 0.0)[0] + 1]
-    for k in np.nonzero(f[:-1] * f[1:] < 0.0)[0]:
-        brackets.append((float(grid[k]), float(grid[k + 1])))
-    return [_refine(params, lo, hi) for lo, hi in sorted(brackets)]
-
-
 def tau_exact(params: GameParams) -> float:
-    """Smallest promise in (0, M) at which privacy pressure has fallen to the
-    abstain value, located by a bracketing scan plus regula falsi.
+    """Smallest promise in (0, M] at which privacy pressure has fallen to the
+    abstain value: the first root of threshold_crossings, whose proved steps
+    leave no earlier root.
 
-    Raises NoCrossingError when the scan finds no sign change, reporting
+    Raises NoCrossingError when the search finds no sign change, reporting
     which side dominates throughout.
     """
     crossings = threshold_crossings(params)

@@ -40,6 +40,7 @@ from obfgame import (
 )
 from obfgame import stackelberg
 from obfgame.mfg import INDIFFERENCE_TOL
+from obfgame.model import _pressure_gap
 from obfgame.stackelberg import _verify_leader_optimality
 
 
@@ -231,6 +232,57 @@ class TestTauExact:
         assert [r for r, _ in roots] == pytest.approx(
             [1.2023751385, 91.297558932, 9999.999975], rel=1e-9)
         assert all(abs(residual) <= 1e-9 for _, residual in roots)
+
+    # M ~ 2.9e11 lies far above three crossings (50-digit mpmath:
+    # 2.1146040922626729, 602.15318997929176 and 46178.105060037), which a
+    # uniform 1,001-point grid over [0, M] put in its first cell
+    FAR_BELOW_M = dict(A_L=0.04214984326721766, C_L=0.0016299681700637691,
+                       A_S=0.06159414423947732, P_S=0.30732290332814677,
+                       C_S=1.4411948858553079e-10, rho=29.588035814084858,
+                       N=37, M=290116576066.50555)
+
+    def test_first_crossing_far_below_M(self):
+        params = GameParams(**self.FAR_BELOW_M)
+        roots = threshold_crossings(params)
+        assert len(roots) == 3
+        assert roots[:2] == pytest.approx(
+            [2.1146040922626729, 602.15318997929176], rel=1e-9)
+        # 1 - exp(-eps) cancels at the third, which keeps ~7 digits
+        assert roots[2] == pytest.approx(46178.105060037, rel=1e-6)
+        assert tau_exact(params) == roots[0]
+        assert gamma(params, roots[0]) == 0.0
+        report = pbne_solve(params)
+        assert report.regime is EquilibriumRegime.FULL_OBFUSCATION
+        assert report.learner_utility_at_eq == 0.0
+        assert report.thresholds.tau_exact == roots[0]
+        # the exact optimum is a promise at the first crossing, paying ~0.04
+        assert _verify_leader_optimality(params, report) == (
+            roots[0], induced_leader_utility(params, roots[0]))
+
+    def test_crossings_where_pressure_falls_in_steps(self):
+        # near the last two crossings 1 - exp(-eps) cancels, so the computed
+        # pressure falls in steps of ~1e-6 of itself and proved steps stall;
+        # a search without a cap on its steps never ended here, so it runs
+        # in a subprocess
+        point = dict(A_L=21.318089760080912, C_L=0.18241878032329456,
+                     A_S=6.067920942937873, P_S=11.212778807660674,
+                     C_S=3.522354149965924e-10, rho=89.24757214425966,
+                     N=52512, M=2369655.135376051)
+        script = ("from obfgame import GameParams, gamma, threshold_crossings\n"
+                  f"p = GameParams(**{point!r})\n"
+                  "print([(r, gamma(p, r)) for r in threshold_crossings(p)])\n")
+        src = os.path.dirname(os.path.dirname(obfgame.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        roots, crowds = zip(*ast.literal_eval(done.stdout))
+        # 50-digit mpmath roots; the last two only to the cancellation
+        assert roots[0] == pytest.approx(1.1329625776500885, rel=1e-12)
+        assert roots[1:] == pytest.approx(
+            [97472.69157197922, 178418.59612401172], rel=1e-5)
+        assert crowds == (0.0, 0.0, 0.0)
 
 
 class TestThresholdsRecord:
@@ -725,3 +777,75 @@ class TestProperties:
     def test_induced_response_is_a_fixed_point(self, params, share):
         sigma_L = share * params.M
         assert fixed_point_check(params, sigma_L, gamma(params, sigma_L))
+
+
+@st.composite
+def wide_params(draw):
+    """Log-uniform draws over wide ranges, with a surplus (P_S - C_S > A_S):
+    A_S, A_L in [1e-2, 1e2], C_S in [1e-18, 1e2], P_S = (A_S + C_S)
+    [1, 30], C_L in [1e-3, 1e2], rho in [1e-2, 1e2], N in [1, 1e5] and M in
+    [0.1, 1e12], where M can lie far above every crossing."""
+    def log_uniform(low, high):
+        return 10.0 ** draw(st.floats(math.log10(low), math.log10(high)))
+
+    A_S, C_S = log_uniform(1e-2, 1e2), log_uniform(1e-18, 1e2)
+    P_S = (A_S + C_S) * log_uniform(1.0, 30.0)
+    assume(P_S - C_S > A_S)
+    return GameParams(A_L=log_uniform(1e-2, 1e2), C_L=log_uniform(1e-3, 1e2),
+                      A_S=A_S, P_S=P_S, C_S=C_S, rho=log_uniform(1e-2, 1e2),
+                      N=int(log_uniform(1.0, 1e5)), M=log_uniform(0.1, 1e12))
+
+
+def dense_crossings(params, points=4001):
+    """A reference for the crossings from the scalar gap alone: 0 and a
+    geometric grid from 1e-16 M to M, the grid cells where the gap changes
+    sign, and each such cell bisected to the deterred end of its crossing."""
+    grid = [0.0] + [params.M * 1e-16 ** (1.0 - k / (points - 1))
+                    for k in range(points)]
+
+    def deterred(sigma):
+        return _pressure_gap(params, sigma**2, 0.0) <= 0.0
+
+    signs = [deterred(x) for x in grid]
+    brackets = [(lo, hi) for lo, hi, a, b in
+                zip(grid, grid[1:], signs, signs[1:]) if a != b]
+    roots = []
+    for lo, hi in brackets:
+        lo_deterred = deterred(lo)
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if deterred(mid) == lo_deterred:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        roots.append(lo if lo_deterred else hi)
+    return grid, brackets, roots
+
+
+class TestCrossingsOnWideDraws:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(params=wide_params())
+    def test_first_crossing_is_the_dense_scans_first(self, params):
+        _, brackets, _ = dense_crossings(params)
+        roots = threshold_crossings(params)
+        assert bool(roots) == bool(brackets)
+        if brackets:
+            assert brackets[0][0] <= roots[0] <= brackets[0][1]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(params=wide_params())
+    def test_certified_optimum_beats_every_dense_promise(self, params):
+        # the certificate's sup max(U(0), U(tau_exact)) is the exact one:
+        # no promise on the dense grid, nor at a crossing, pays more (where
+        # the closed form fails the certificate, the error carries the sup)
+        try:
+            _, sup = _verify_leader_optimality(params, pbne_solve(params))
+        except InfeasiblePromiseError:
+            assume(False)
+        except InconsistencyError as exc:
+            _, sup = exc.exact
+        grid, _, roots = dense_crossings(params)
+        utility = max([induced_leader_utility(params, np.array(grid)).max(),
+                       *(induced_leader_utility(params, r) for r in roots)])
+        assert sup >= utility - 1e-12 * params.A_L
