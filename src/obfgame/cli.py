@@ -10,13 +10,13 @@ Exit codes: 0 success, 1 internal inconsistency, 2 usage/config error.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import itertools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -56,13 +56,23 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _finite(value):
+    """A dict's values, nested, with each non-finite float made None: JSON
+    has no nan or inf, so they are written as null."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def run_solve(config: RunConfig, out_dir: Path, out_format: str) -> int:
     report = stackelberg.pbne_solve(config.game_params())
     if out_format == "json":
+        report_dict = _finite({**dataclasses.asdict(report),
+                               "regime": report.regime.value})
         _write_text(out_dir / "solve.json",
-                    json.dumps({**dataclasses.asdict(report),
-                                "regime": report.regime.value},
-                               indent=2) + "\n")
+                    json.dumps(report_dict, indent=2, allow_nan=False) + "\n")
     else:
         th = report.thresholds
         _write_csv(
@@ -236,45 +246,94 @@ def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
     return 0 if (erm_pass and dp_pass) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="obfgame",
-        description="Solve and validate the bi-level obfuscation game.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve", "solve the bi-level game for one parameter set"),
-        ("sweep", "classify the equilibrium regime over a parameter grid"),
-        ("br-curve", "export the user best-response curve"),
-        ("cascade", "simulate best-response adoption dynamics"),
-        ("validate", "run the ERM and DP scaling validations"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to config file")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--format", default=None, choices=("csv", "json"))
-        cmd.add_argument("--seed", default=None, type=int, help="RNG seed")
-        cmd.add_argument("--jobs", default=1, type=int,
-                         help="accepted and ignored: sweeps run serially")
-    return parser
+COMMANDS = {
+    "solve": "solve the bi-level game for one parameter set",
+    "sweep": "classify the equilibrium regime over a parameter grid",
+    "br-curve": "export the user best-response curve",
+    "cascade": "simulate best-response adoption dynamics",
+    "validate": "run the ERM and DP scaling validations",
+}
+
+
+def _output_format(value: str) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(value)
+    return value
+
+
+# the whole grammar: every command takes these options, as ``--name value``
+# or ``--name=value``, in any order around the command; the last repeat wins
+OPTIONS = {  # name: (metavar, converter, help)
+    "--config": ("PATH", str, "config file (required)"),
+    "--out": ("DIR", str, "output directory (default: output.dir)"),
+    "--format": ("csv|json", _output_format,
+                 "solve's output format (default: output.format)"),
+    "--seed": ("N", int, "RNG seed (default: rng_seed)"),
+    "--jobs": ("N", int, "accepted and ignored: sweeps run serially"),
+}
+USAGE = ("usage: obfgame <solve|sweep|br-curve|cascade|validate> --config PATH"
+         " [--out DIR] [--format csv|json] [--seed N] [--jobs N]")
+HELP = "\n".join([
+    USAGE, "", "Solve and validate the bi-level obfuscation game.", "",
+    "commands:", *(f"  {name:<10} {text}" for name, text in COMMANDS.items()),
+    "", "options (--name value or --name=value):", *(
+        f"  {f'{name} {metavar}':<18} {text}"
+        for name, (metavar, _, text) in OPTIONS.items()),
+    f"  {'-h, --help':<18} show this help and exit"])
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(USAGE, f"obfgame: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The command and each option's converted value (None where absent).
+    ``-h``/``--help`` prints the help and exits 0; a usage error exits 2."""
+    command, values = None, dict.fromkeys(OPTIONS)
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(HELP)
+            raise SystemExit(0)
+        name, eq, value = arg.partition("=")
+        if name in OPTIONS:
+            if not eq and (value := next(args, None)) is None:
+                _usage_error(f"argument {name}: expected one argument")
+            metavar, convert, _ = OPTIONS[name]
+            try:
+                values[name] = convert(value)
+            except ValueError:
+                _usage_error(f"argument {name} {metavar}: "
+                             f"invalid value {value!r}")
+        elif command is None and arg in COMMANDS:
+            command = arg
+        else:
+            _usage_error(f"unrecognized argument {arg!r}")
+    if command is None:
+        _usage_error("a command is required")
+    if values["--config"] is None:
+        _usage_error("argument --config is required")
+    return command, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        config = parse_config(args.config)
-        out_dir = Path(args.out if args.out is not None
+        config = parse_config(args["--config"])
+        out_dir = Path(args["--out"] if args["--out"] is not None
                        else config.get("output.dir"))
-        out_format = (args.format if args.format is not None
+        out_format = (args["--format"] if args["--format"] is not None
                       else config.get("output.format"))
-        rng_seed = (args.seed if args.seed is not None
+        rng_seed = (args["--seed"] if args["--seed"] is not None
                     else config.get("rng_seed"))
-        if args.command == "solve":
+        if command == "solve":
             return run_solve(config, out_dir, out_format)
-        if args.command == "sweep":
+        if command == "sweep":
             return run_sweep(config, out_dir)
-        if args.command == "br-curve":
+        if command == "br-curve":
             return run_br_curve(config, out_dir)
-        if args.command == "cascade":
+        if command == "cascade":
             return run_cascade(config, out_dir, rng_seed)
         return run_validate(config, out_dir, rng_seed)
     except (ConfigError, ValueError) as exc:

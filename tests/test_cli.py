@@ -180,6 +180,24 @@ class TestSolveCommand:
         assert list(report["conditions"]) == [
             "privacy_surplus", "accuracy_benefit", "kappa", "kappa_threshold"]
 
+    @pytest.mark.parametrize("line, changed, regime", [
+        ("game.P_S = 2.0", "game.P_S = 0.5", "StatusQuo"),  # threshold nan
+        ("game.C_L = 1.0", "game.C_L = 0.0", "PrivacyPromise"),  # inf
+    ])
+    def test_solve_json_is_strict_json(self, tmp_path, line, changed, regime):
+        cfg = write_config(tmp_path, ROW3_GAME.replace(line, changed))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "solve.json").read_text(),
+                            parse_constant=refuse)
+        assert report["regime"] == regime
+        assert report["conditions"]["kappa_threshold"] is None
+
     def test_tiny_deterrence_cost_solves(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ROW3_GAME.replace(
             "game.C_S = 1.0", "game.C_S = 1e-17"))
@@ -493,6 +511,109 @@ class TestCascadeCommand:
                      "--seed", "-1"]) == 2
         assert "config error: rng_seed" in capsys.readouterr().err
         assert not out.exists()
+
+
+# the help's line for each command
+COMMAND_LINES = [f"\n  {name} " for name in
+                 ("solve", "sweep", "br-curve", "cascade", "validate")]
+
+
+class TestCommandLine:
+    """The grammar ``obfgame <command> --config PATH [--out DIR]
+    [--format csv|json] [--seed N] [--jobs N]``: CFG and OUT in an argv
+    stand for a cascade config and an output directory."""
+
+    @pytest.mark.parametrize("argv, code, stream, fragments", [
+        # both option forms, options around the command
+        (["cascade", "--config", "CFG", "--out", "OUT"], 0, "out",
+         ["cascade: converged=True"]),
+        (["cascade", "--config=CFG", "--out=OUT", "--seed=1", "--jobs=2"], 0,
+         "out", ["cascade: converged=True"]),
+        (["--config", "CFG", "--out=OUT", "cascade"], 0, "out",
+         ["cascade: converged=True"]),
+        (["--out", "OUT", "cascade", "--format=json", "--config", "CFG"], 0,
+         "out", ["cascade: converged=True"]),
+        # the last repeat wins
+        (["cascade", "--config", "missing.cfg", "--config=CFG", "--out",
+          "OUT"], 0, "out", ["cascade: converged=True"]),
+        (["cascade", "--config", "CFG", "--config", "missing.cfg"], 2, "err",
+         ["config error: cannot read config missing.cfg"]),
+        (["cascade", "--config", "CFG", "--out", "OUT", "--seed", "-1",
+          "--seed", "1"], 0, "out", ["cascade: converged=True"]),
+        # a value may start with "-"
+        (["cascade", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
+         "err", ["config error: rng_seed"]),
+        (["cascade", "--config", "CFG", "--out", "OUT", "--seed=-1"], 2,
+         "err", ["config error: rng_seed"]),
+        # help
+        (["-h"], 0, "out",
+         ["usage: obfgame", *COMMAND_LINES, "--config PATH"]),
+        (["--help"], 0, "out", ["usage: obfgame", *COMMAND_LINES, "--jobs N"]),
+        (["cascade", "--config", "CFG", "-h"], 0, "out",
+         ["usage: obfgame", *COMMAND_LINES]),
+        # usage errors
+        ([], 2, "err", ["a command is required"]),
+        (["--config", "CFG"], 2, "err", ["a command is required"]),
+        (["cascade"], 2, "err", ["argument --config is required"]),
+        (["cascade", "--out", "OUT"], 2, "err",
+         ["argument --config is required"]),
+        (["frob", "--config", "CFG"], 2, "err",
+         ["unrecognized argument 'frob'"]),
+        (["cascade", "solve", "--config", "CFG"], 2, "err",
+         ["unrecognized argument 'solve'"]),
+        (["cascade", "--config", "CFG", "--bogus", "1"], 2, "err",
+         ["unrecognized argument '--bogus'"]),
+        (["cascade", "--config"], 2, "err",
+         ["argument --config: expected one argument"]),
+        (["cascade", "--config", "CFG", "--seed"], 2, "err",
+         ["argument --seed: expected one argument"]),
+        (["cascade", "--config", "CFG", "--seed", "x"], 2, "err",
+         ["argument --seed N: invalid value 'x'"]),
+        (["cascade", "--config", "CFG", "--jobs=1.5"], 2, "err",
+         ["argument --jobs N: invalid value '1.5'"]),
+        (["solve", "--config", "CFG", "--format", "xml"], 2, "err",
+         ["argument --format csv|json: invalid value 'xml'"]),
+        # no prefix abbreviations
+        (["cascade", "--conf", "CFG"], 2, "err",
+         ["unrecognized argument '--conf'"]),
+        (["cascade", "--config", "CFG", "--out", "OUT", "--s", "1"], 2, "err",
+         ["unrecognized argument '--s'"]),
+    ])
+    def test_argv(self, tmp_path, capsys, argv, code, stream, fragments):
+        cfg = write_config(tmp_path, TestCascadeCommand.CASCADE)
+        out = str(tmp_path / "out")
+        argv = [arg.replace("CFG", cfg).replace("OUT", out) for arg in argv]
+        try:
+            result = main(argv)
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        text = getattr(captured, stream)
+        assert result == code, captured
+        for fragment in fragments:
+            assert fragment in text
+        if code == 2 and "config error" not in text:
+            usage, error = text.splitlines()
+            assert usage.startswith("usage: obfgame <")
+            assert error.startswith("obfgame: error: ")
+            assert captured.out == ""
+
+    def test_cascade_imports_no_argparse(self, tmp_path):
+        # a fresh interpreter: the claimed start-up saving is argparse's
+        cfg = write_config(tmp_path, TestCascadeCommand.CASCADE)
+        src = os.path.dirname(os.path.dirname(obfgame.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "from obfgame.cli import main\n"
+            f"assert main(['cascade', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'argparse' not in sys.modules, 'argparse imported'\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "cascade.csv").is_file()
 
 
 @pytest.mark.parametrize("sigma_L", ["60", "-1", "nan"])
