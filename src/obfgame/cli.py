@@ -340,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         # every ValueError here stems from a config-supplied value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # parse_config reports its own read errors, so this is a write
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@ it makes no numpy call."""
 from __future__ import annotations
 
 import math
+from collections.abc import Generator, Iterator
 
 from .model import (
     GameParams,
@@ -56,20 +57,18 @@ def _holds(lo: tuple[float, float], hi: tuple[float, float],
     return hi[0] > lo[1] if obfuscates else lo[0] <= hi[1]
 
 
-def _reach(params: GameParams, laws: tuple[float, float], obfuscates: bool,
-           forward: bool = True) -> float:
-    """The far end of the longest cell the bound can prove from an end with
-    these laws, by the inverse laws: forward, P^-1(B) where the gap is
-    positive and B^-1(P) where it is not; backward from an upper end,
-    B^-1(P) and P^-1(B).  It aims inside the bound by LAW_SLACK of the laws'
-    value, but by at most half the gap, so that rounding rarely fails the
-    bound and a step never stays put.  inf where the law never falls to the
-    value, 0 where it starts at or below it."""
+def _reach(params: GameParams, laws: tuple[float, float],
+           obfuscates: bool) -> float:
+    """The far end of the longest cell the bound can prove from a lower end
+    with these laws, by the inverse laws: P^-1(B) where the gap is positive
+    and B^-1(P) where it is not.  It aims inside the bound by LAW_SLACK of
+    the laws' value, but by at most half the gap, so that rounding rarely
+    fails the bound and a step never stays put.  inf where the law never
+    falls to the value, 0 where it starts at or below it."""
     P, B = laws
     margin = min(LAW_SLACK * max(P, B), 0.5 * abs(P - B))
-    margin = margin if forward else -margin
     cv = params.conventions
-    if obfuscates == forward:
+    if obfuscates:
         # P(v) = P_S (1 - exp(-c_p v^-e)) falls to B + margin
         share = (B + margin) / params.P_S
         if not share < 1.0:
@@ -169,14 +168,14 @@ def _refine(params: GameParams, lo: float, hi: float, f_lo: float,
 Cell = tuple  # (lo, laws at lo, hi, laws at hi)
 
 
-def _bisect(params: GameParams, cell: Cell, budget: int,
-            roots: list[float]) -> int:
+def _bisect(params: GameParams, cell: Cell,
+            budget: int) -> Generator[float, None, int]:
     """Depth-first bisection of a cell by the bound, smallest part first.  A
     part the bound proves of one sign holds no root.  A part whose ends
     differ in sign goes to _refine once the gap is monotone on it, it is at
     most ROOT_BISECTION_WIDTH wide, no float lies inside it or the budget of
     evaluations is spent; a part of one sign that is not proved by then is
-    taken to hold none.  Appends the roots and returns the budget left."""
+    taken to hold none.  Yields the roots and returns the budget left."""
     stack = [cell]
     while stack:
         lo, l_lo, hi, l_hi = stack.pop()
@@ -188,8 +187,8 @@ def _bisect(params: GameParams, cell: Cell, budget: int,
                 budget > 0 and hi - lo > ROOT_BISECTION_WIDTH
                 and lo < mid < hi)):
             if sign_change:
-                roots.append(_refine(params, lo, hi, l_lo[0] - l_lo[1],
-                                     l_hi[0] - l_hi[1]))
+                yield _refine(params, lo, hi, l_lo[0] - l_lo[1],
+                              l_hi[0] - l_hi[1])
             continue
         budget -= 1
         l_mid = _laws(params, mid)
@@ -237,6 +236,20 @@ def _advance(params: GameParams, lo: float, l_lo: tuple[float, float],
     return lo, l_lo, M, top
 
 
+def _crossings(params: GameParams) -> Iterator[float]:
+    """The roots of threshold_crossings, yielded as the search reaches them."""
+    top = _laws(params, params.M)
+    lo, l_lo = 0.0, _laws(params, 0.0)
+    budget = BISECTION_CELLS
+    for _ in range(MAX_STRETCHES):
+        cell = _advance(params, lo, l_lo, top)
+        if cell is None:
+            return
+        budget = yield from _bisect(params, cell, budget)
+        _, _, lo, l_lo = cell
+    yield from _bisect(params, (lo, l_lo, params.M, top), budget)
+
+
 def threshold_crossings(params: GameParams) -> list[float]:
     """All roots of pressure - abstain_value on (0, M], smallest first; each
     is the deterred end of its crossing (gamma is 0 there).
@@ -244,36 +257,15 @@ def threshold_crossings(params: GameParams) -> list[float]:
     The search runs from 0 in proved steps (_advance): the cell bound
     (_holds) proves each step free of roots on the computed gap, and the
     inverse laws (_reach) propose how far it can go.  A sign change past a
-    proved run is a bracket.  A step backward from its upper end proves a
-    run below it, and _refine locates the root where the slope bounds show
-    the gap monotone on the rest (_monotone).  Other brackets, and stretches
-    where the steps stall (as near a tangency), are bisected by the bound
-    (_bisect).  Every loop is capped: MAX_STRETCHES crossings by steps, then
-    bisection of the rest with at most BISECTION_CELLS evaluations, beyond
-    which a part whose ends share a sign is taken to hold no root.
+    proved run is a bracket, and _refine locates its root where the slope
+    bounds show the gap monotone on it (_monotone).  Other brackets, and
+    stretches where the steps stall (as near a tangency), are bisected by
+    the bound (_bisect).  Every loop is capped: MAX_STRETCHES crossings by
+    steps, then bisection of the rest with at most BISECTION_CELLS
+    evaluations, beyond which a part whose ends share a sign is taken to
+    hold no root.
 
     More than one root can occur away from the default conventions (and for
-    extreme kappa); ``tau_exact`` always uses the smallest.
+    extreme kappa); ``tau_exact`` stops the search at the smallest.
     """
-    top = _laws(params, params.M)
-    # the laws at sigma = 0 as the kernels compute them: eps_p is inf there
-    lo, l_lo = 0.0, (params.P_S, params.A_S + params.C_S)
-    roots: list[float] = []
-    budget = BISECTION_CELLS
-    for _ in range(MAX_STRETCHES):
-        cell = _advance(params, lo, l_lo, top)
-        if cell is None:
-            return roots
-        lo, l_lo, hi, l_hi = cell
-        above = _obfuscates(l_hi)
-        if above != _obfuscates(l_lo):
-            # a backward step proves a run below the bracket's upper end
-            end = _reach(params, l_hi, above, forward=False)
-            if lo < end < hi:
-                l_end = _laws(params, end)
-                if _obfuscates(l_end) == above and _holds(l_end, l_hi, above):
-                    cell = (lo, l_lo, end, l_end)
-        budget = _bisect(params, cell, budget, roots)
-        lo, l_lo = hi, l_hi
-    _bisect(params, (lo, l_lo, params.M, top), budget, roots)
-    return roots
+    return list(_crossings(params))

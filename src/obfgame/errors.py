@@ -56,5 +56,6 @@ class InfiniteLeakageError(ObfGameError, ValueError):
     ValueError, so that the CLI treats it as a config error."""
 
 
-class DegenerateRegressionError(ObfGameError):
-    """The scaling regression has no spread in its explanatory variable."""
+class DegenerateRegressionError(ObfGameError, ValueError):
+    """The scaling regression has no spread in its explanatory variable.  A
+    ValueError, so that the CLI treats it as a config error."""

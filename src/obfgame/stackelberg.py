@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .crossings import threshold_crossings
+from .crossings import _crossings, threshold_crossings
 from .errors import (
     InconsistencyError,
     InfeasiblePromiseError,
@@ -147,18 +147,18 @@ def tau_hat(params: GameParams) -> float:
 def tau_exact(params: GameParams) -> float:
     """Smallest promise in (0, M] at which privacy pressure has fallen to the
     abstain value: the first root of threshold_crossings, whose proved steps
-    leave no earlier root.
+    leave no earlier root.  The search stops at that root.
 
     Raises NoCrossingError when the search finds no sign change, reporting
     which side dominates throughout.
     """
-    crossings = threshold_crossings(params)
-    if not crossings:
+    root = next(_crossings(params), None)
+    if root is None:
         dominant = "pressure" if gamma(params, params.M) else "abstain"
         raise NoCrossingError(
             f"no crossing of pressure and abstain value on (0, M]: "
             f"{dominant} dominates everywhere", dominant)
-    return crossings[0]
+    return root
 
 
 def _with_exact(params: GameParams, th: Thresholds) -> Thresholds:

@@ -475,6 +475,18 @@ class TestBrCurveCommand:
         cfg = write_config(tmp_path, ROW3_GAME)
         assert main(["br-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_indifferent_rows(self, tmp_path):
+        # one user (no crowd term) and P_S = A_S + C_S: at sigma_L = 0 the
+        # pressure equals the abstain value whatever the others do
+        cfg = write_config(tmp_path, ROW3_GAME.replace(
+            "game.P_S = 2.0", "game.P_S = 1.5").replace(
+            "game.N = 100", "game.N = 1") + (
+            "br_curve.sigma_L = 0\nbr_curve.n_points = 5\n"))
+        out = tmp_path / "out"
+        assert main(["br-curve", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "br_curve.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["indifferent"] * 5
+
 
 class TestCascadeCommand:
     CASCADE = (
@@ -629,6 +641,46 @@ def test_promise_outside_domain_exits_2(tmp_path, capsys, command, extra,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command, text, named", [
+    ("solve", "game.A_L = abc\n", "expected a number, got 'abc'"),
+    ("solve", "game.N = 2.5\n", "expected an integer, got '2.5'"),
+    ("cascade", "cascade.schedule = fast\n",
+     "expected one of ('async', 'sync'), got 'fast'"),
+    ("validate", "experiment.erm.levels = ,\n",
+     "expected a comma-separated list of numbers"),
+    ("validate", "experiment.dp.pairs = 1,2,3\n",
+     "expected 'a,b' pairs separated by ';', got '1,2,3'"),
+    ("validate", "experiment.dp.pairs = ;\n",
+     "expected at least one sigma pair"),
+    ("solve", "game.A_L 2.0\n", "expected 'key = value'"),
+    ("sweep", ROW3_GAME + "sweep.P_S.min = 0.5\nsweep.P_S.max = 5.0\n"
+     "sweep.P_S.steps = 0\n", "sweep steps must be >= 1"),
+], ids=["number", "integer", "choice", "empty-list", "three-part-pair",
+        "no-pair", "no-equals", "zero-steps"])
+def test_refused_config_exits_2(tmp_path, capsys, command, text, named):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve", ROW3_GAME), ("sweep", TestSweepCommand.SWEEP)],
+    ids=["solve", "sweep"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, text):
+    # the output directory's parent is a regular file
+    cfg = write_config(tmp_path, text)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert main([command, "--config", cfg, "--out",
+                 str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert err.count("\n") == 1
+
+
 class TestValidateCommand:
     def test_small_validation_run(self, tmp_path):
         cfg = write_config(tmp_path, (
@@ -690,6 +742,8 @@ class TestValidateCommand:
         ("experiment.dp.pairs = inf,0; 2,0", "sigma pair 0 (inf, 0.0)"),
         ("experiment.dp.pairs = 1,0; -1,0", "sigma pair 1 (-1.0, 0.0)"),
         ("experiment.dp.pairs = 0,0", "zero total noise"),
+        ("experiment.erm.levels = 1, 1, 1, 1",
+         "all noise levels share the same variance aggregate"),
     ])
     def test_bad_experiment_value_exits_2(self, tmp_path, entry, named):
         # a subprocess keeps a run that never ends from hanging the suite

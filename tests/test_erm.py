@@ -187,6 +187,20 @@ class TestErmFit:
         assert fit.grad_norm <= config.grad_tolerance
         assert np.all(np.diff(fit.objectives) <= 0)
 
+    def test_line_search_halves_and_converges(self, monkeypatch):
+        # four records where one full Newton step fails the Armijo test:
+        # that step is halved, and the fit still converges
+        steps = []
+        loss_change = erm._loss_change
+        monkeypatch.setattr(erm, "_loss_change", lambda step, *rest: (
+            steps.append(step) or loss_change(step, *rest)))
+        data = Dataset([[0.702, 0.935], [-1.03, 0.129], [1.459, -4.071],
+                        [0.271, -0.187]], [1, -1, 1, 1])
+        fit = erm_fit(data, ErmConfig(rho=1e-4))
+        assert min(steps) < 1.0
+        assert fit.converged
+        assert np.all(np.diff(fit.objectives) <= 0)
+
     def test_objective_record_matches_direct_evaluation(self):
         data = generate_synthetic(3000, 5, 2.0, rng_seed=63)
         fit = erm_fit(data, ErmConfig(rho=0.01))

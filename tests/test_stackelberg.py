@@ -38,7 +38,7 @@ from obfgame import (
     threshold_crossings,
     thresholds,
 )
-from obfgame import stackelberg
+from obfgame import crossings, stackelberg
 from obfgame.mfg import INDIFFERENCE_TOL
 from obfgame.model import _pressure_gap
 from obfgame.stackelberg import _verify_leader_optimality
@@ -194,6 +194,20 @@ class TestTauExact:
         report = pbne_solve(params)
         assert report.regime is EquilibriumRegime.FULL_OBFUSCATION
         assert gamma(params, report.thresholds.tau_exact) == 0.0
+
+    def test_search_stops_at_the_first_root(self, monkeypatch):
+        # README's example has one crossing: tau_exact runs no step past its
+        # bracket, while threshold_crossings steps on to prove [root, M]
+        calls = []
+        advance = crossings._advance
+        monkeypatch.setattr(crossings, "_advance",
+                            lambda *args: calls.append(args) or advance(*args))
+        params = make_params()
+        assert tau_exact(params) == 0.8515356605619542
+        assert len(calls) == 1
+        calls.clear()
+        assert threshold_crossings(params) == [0.8515356605619542]
+        assert len(calls) == 2
 
     def test_no_crossing_in_status_quo(self):
         with pytest.raises(NoCrossingError) as info:
@@ -721,12 +735,24 @@ def game_params(draw):
                       N=draw(st.integers(1, 5000)), M=max(10.0 * th, 32.0))
 
 
+def assert_tau_exact_is_first(params, roots):
+    """tau_exact, which stops the search at its first root, gives the first
+    of the full list, or raises where the list is empty."""
+    if roots:
+        assert tau_exact(params) == roots[0]
+    else:
+        with pytest.raises(NoCrossingError):
+            tau_exact(params)
+
+
 class TestProperties:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(params=game_params())
     def test_every_crossing_is_deterred(self, params):
-        for root in threshold_crossings(params):
+        roots = threshold_crossings(params)
+        for root in roots:
             assert gamma(params, root) == 0.0
+        assert_tau_exact_is_first(params, roots)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(params=game_params(), shrink=st.sampled_from([1.0, 0.05]))
@@ -832,6 +858,7 @@ class TestCrossingsOnWideDraws:
         assert bool(roots) == bool(brackets)
         if brackets:
             assert brackets[0][0] <= roots[0] <= brackets[0][1]
+        assert_tau_exact_is_first(params, roots)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(params=wide_params())
