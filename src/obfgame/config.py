@@ -8,6 +8,7 @@ diff-friendly and unambiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,20 +157,27 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def sweep_grids(self) -> dict[str, np.ndarray]:
-        """name -> np.linspace grid of each swept game field, in name order."""
-        grids = {}
+        """name -> np.linspace grid of each swept game field, in name order;
+        a grid above sweep.max_points is refused before any axis is built."""
+        ranges = {}
         for name in sorted(GAME_FIELDS):
             keys = [f"sweep.{name}.{part}" for part in _SWEEP_PARTS]
             if not any(key in self.entries for key in keys):
                 continue
-            for key in keys:
-                if key not in self.entries:
-                    raise ConfigError(f"sweep.{name} is missing {key}")
-            low, high, steps = (self.entries[key] for key in keys)
-            if steps < 1:
+            if missing := [key for key in keys if key not in self.entries]:
+                raise ConfigError(f"sweep.{name} is missing {missing[0]}")
+            ranges[name] = [self.entries[key] for key in keys]
+            if ranges[name][2] < 1:
                 raise ConfigError("sweep steps must be >= 1")
-            grids[name] = np.linspace(low, high, steps)
-        return grids
+        if not ranges:
+            raise ConfigError("sweep requires at least one sweep.<param> range")
+        total = math.prod(steps for _, _, steps in ranges.values())
+        cap = self.get("sweep.max_points")
+        if total > cap:
+            raise ConfigError(
+                f"sweep grid has {total} points, above the cap of {cap}; "
+                f"set sweep.max_points = {total} to allow it")
+        return {name: np.linspace(*r) for name, r in ranges.items()}
 
 
 def parse_config(path: str | Path) -> RunConfig:

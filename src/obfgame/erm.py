@@ -357,18 +357,18 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
         raise DegenerateRegressionError(
             "all noise levels share the same variance aggregate")
 
+    stds = [_per_user_stds(v, n_records, carriers) for v in v_values.tolist()]
     reference = reference_classifier(gen, config, n_ref,
                                      _task_seed(rng_seed, 0))
     features = np.empty((replications, n_records, gen.d))
     labels = np.empty((replications, n_records))
     levels = []
-    for li, v in enumerate(v_values.tolist()):
-        stds = _per_user_stds(v, n_records, carriers)
+    for li, (v, level_stds) in enumerate(zip(v_values.tolist(), stds)):
         for rep in range(replications):
             data = generate_synthetic(n_records, gen.d, gen.separation,
                                       _task_seed(rng_seed, 1, li, rep))
             noisy = perturb_dataset(data, PerturbationSpec(
-                0.0, stds, _task_seed(rng_seed, 2, li, rep)))
+                0.0, level_stds, _task_seed(rng_seed, 2, li, rep)))
             features[rep], labels[rep] = noisy.features, noisy.labels
         fits = _newton(features, labels, config)
         estimates = np.array([excess_risk(

@@ -3,6 +3,7 @@ response map, and best-response adoption dynamics among N agents."""
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -172,7 +173,8 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     others; "async" (default) updates in a freshly drawn random order using
     current states, "sync" updates all agents from the round-start snapshot.
     Indifferent agents keep their current action.  Stops after a pass with
-    no change, or after max_rounds with converged=False.  A round costs O(N).
+    no change, or after max_rounds with converged=False.  A round decides
+    from the rule at its count k; its state and rounds entry cost O(N).
 
     The order decides an async round only where agents at both corners
     want the other one, which can happen in the first round alone: only
@@ -189,31 +191,27 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
         raise ValueError(f"rng_seed={rng_seed} must be a non-negative integer")
 
     n, M = params.N, params.M
-    # An agent's response depends only on j, the number of other agents at
-    # M: their mean deviation is sqrt(M^2 j / (N - 1)), 0 for a lone agent.
-    # The root is capped at M, which it can exceed by rounding at j = N - 1.
-    crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
-    obfuscate, abstain = _response(params, sigma_L, crowd)
-    # With k agents at M, up[k] says whether an agent at 0 moves to M (it
-    # sees k others there) and down[k] whether an agent at M moves to 0 (it
-    # sees k - 1).  The padding keeps a unanimous state from moving away
-    # from its corner.
-    up = np.append(obfuscate, False)
-    down = np.insert(abstain, 0, False)
-
     states = np.zeros(n, dtype=bool)
-    states[: np.searchsorted(np.arange(n + 1) / n, seed_fraction)] = True
+    states[: bisect.bisect_left(range(n + 1), seed_fraction,
+                                key=lambda k: k / n)] = True
     rounds = [np.where(states, M, 0.0)]
     fractions = [states.mean()]
     converged = False
     for _ in range(max_rounds):
         k = np.count_nonzero(states)
-        moving = up[k] or down[k]
-        if up[k] and down[k]:
+        # An agent at 0 sees j = k others at M (read while k < N) and one at
+        # M sees k - 1: their mean deviation sqrt(M^2 j / (N - 1)) is 0 for a
+        # lone agent and capped at M, which it can exceed at j = N - 1.
+        j = np.array([min(k, n - 1), max(k - 1, 0)])
+        obfuscate, abstain = _response(
+            params, sigma_L, np.minimum(M, np.sqrt(M * M * j / max(n - 1, 1))))
+        up, down = k < n and obfuscate[0], k > 0 and abstain[1]
+        moving = up or down
+        if up and down:
             # Every agent wants the other corner: sync swaps them all, and
             # async takes all where the first of a random order goes, as
-            # the gap does not fall as k grows (abstain is a prefix and
-            # obfuscate a suffix of the table).  Any async move leaves a
+            # the gap does not fall as j grows (abstain holds up to some j
+            # and obfuscate from a larger one).  Any async move leaves a
             # unanimous state, so async gets here in round one only.
             if schedule == "sync":
                 states = ~states
@@ -221,7 +219,7 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
                 first = np.random.default_rng(rng_seed).permutation(n)[0]
                 states[:] = not states[first]
         elif moving:
-            states[:] = up[k]  # all end where the movers go
+            states[:] = up  # all end where the movers go
         rounds.append(np.where(states, M, 0.0))
         fractions.append(states.mean())
         if not moving:

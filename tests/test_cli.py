@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,22 @@ sweep.C_L.steps = 20
 sweep.N.min = 1
 sweep.N.max = 1000
 sweep.N.steps = 4
+"""
+
+# the benchmark's cascade, acceptance 8's bistable game at N = 10,000
+# (bench/workloads.py), run with --seed 1
+BENCH_CASCADE = """\
+game.A_L = 2.0
+game.C_L = 1.0
+game.A_S = 1.0
+game.P_S = 1.8
+game.C_S = 0.2
+game.rho = 1.0
+game.N = 10000
+game.M = 1000.0
+cascade.sigma_L = 1.0
+cascade.seed_fraction = 0.01
+cascade.schedule = async
 """
 
 # values of each game field for random sweeps: round numbers put points on
@@ -322,6 +339,26 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, text)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_cap_refused_before_any_axis_is_built(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # 10^12 steps would ask numpy for ~7 TiB; an axis above 10^7 points
+        # fails the test instead of allocating
+        real = np.linspace
+
+        def linspace(start, stop, num, *args, **kwargs):
+            assert num <= 10**7, f"built a {num}-point axis"
+            return real(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        text = self.SWEEP.replace("sweep.P_S.steps = 40",
+                                  "sweep.P_S.steps = 1000000000000")
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep grid has 1000000000000 points, above the cap "
+            "of 1000000; set sweep.max_points = 1000000000000 to allow it\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_fractional_N_point_exits_2(self, tmp_path, capsys):
         text = ROW3_GAME.replace("game.N = 100\n", "") + (
             "sweep.N.min = 1\nsweep.N.max = 4\nsweep.N.steps = 3\n")
@@ -513,6 +550,14 @@ class TestCascadeCommand:
                      "--seed", "1"]) == 0
         assert (out_a / "cascade.csv").read_bytes() == (
             out_b / "cascade.csv").read_bytes()
+
+    def test_bench_cascade_matches_reference_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, BENCH_CASCADE)
+        out = tmp_path / "out"
+        assert main(["cascade", "--config", cfg, "--out", str(out),
+                     "--seed", "1"]) == 0
+        assert (out / "cascade.csv").read_bytes() == (
+            ROOT / "bench" / "ref" / "cascade.csv").read_bytes()
 
     @pytest.mark.parametrize("schedule", ["async", "sync"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, schedule):
@@ -766,6 +811,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("entry, named", [
         ("experiment.erm.n_eval = 500", "n_eval must be >= 1000"),
         ("experiment.erm.n_ref = 1", "n_ref must be >= 2"),
+        ("experiment.erm.carriers = 0",
+         "carriers must lie in [1, n_records - 1]"),
     ])
     def test_small_samples_exit_2_before_fitting(self, tmp_path, monkeypatch,
                                                  capsys, entry, named):

@@ -411,6 +411,17 @@ class TestScalingExperiment:
                                [0.0, 0.5, 1.0, 2.0], replications=10,
                                rng_seed=0, n_eval=n_eval, n_ref=n_ref)
 
+    @pytest.mark.parametrize("carriers", [0, 100])
+    def test_rejects_bad_carriers_before_fitting(self, monkeypatch, carriers):
+        def no_fit(*args):
+            raise AssertionError("fitted before the carriers were checked")
+        monkeypatch.setattr(erm, "_newton", no_fit)
+        with pytest.raises(ValueError, match=re.escape(
+                "carriers must lie in [1, n_records - 1]")):
+            scaling_experiment(GeneratorSpec(3, 1.0), 100, ErmConfig(rho=0.1),
+                               [0.0, 0.5, 1.0, 2.0], replications=10,
+                               rng_seed=0, carriers=carriers)
+
     def test_degenerate_levels_rejected(self):
         gen = GeneratorSpec(3, 1.0)
         config = ErmConfig(rho=0.1)

@@ -22,6 +22,7 @@ from obfgame import (
     mfg_equilibria,
     privacy_pressure,
 )
+from obfgame import mfg
 from obfgame.mfg import INDIFFERENCE_TOL, _response
 
 
@@ -374,6 +375,97 @@ class TestCascadeProperties:
         assert sum(moved) <= 1
         for after, changed in zip(trace.rounds[1:], moved):
             assert not changed or np.all(after == after[0])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(game=_games(max_n=2000), seed_fraction=st.floats(0.0, 1.0),
+           near=st.sampled_from([None, "up", "down"]),
+           offset=st.integers(-2, 2),
+           schedule=st.sampled_from(["async", "sync"]),
+           rng_seed=st.integers(0, 2**32 - 1),
+           max_rounds=st.sampled_from([1, 3, 100]))
+    def test_matches_the_full_response_table(self, game, seed_fraction, near,
+                                             offset, schedule, rng_seed,
+                                             max_rounds):
+        params, sigma_L = game
+        n = params.N
+        up, down = _response_table(params, sigma_L)
+        if near is not None:
+            # seed near the count where the table switches, where seeing k
+            # or k - 1 others at M decides the round
+            switch = (n - np.count_nonzero(up) if near == "up"
+                      else np.count_nonzero(down))
+            seed_fraction = min(max(switch + offset, 0), n) / n
+        args = (params, sigma_L, seed_fraction, schedule, rng_seed, max_rounds)
+        trace = cascade_simulate(*args)
+        rounds, fractions, converged, mean_variance = _table_cascade(*args)
+        assert len(trace.rounds) == len(rounds)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.rounds, rounds))
+        assert trace.adoption_fraction == fractions
+        assert trace.converged == converged
+        assert trace.final_mean_variance == mean_variance
+        if trace.converged:
+            # the last count is one where neither corner moves
+            k = np.count_nonzero(trace.rounds[-1])
+            assert not up[k] and not down[k]
+
+    def test_each_round_reads_two_responses(self, monkeypatch):
+        # at N = 10^6 a round evaluates the rule for the two agents at its
+        # count, never for a crowd of N
+        sizes = []
+        real = mfg._response
+
+        def spy(params, sigma_L, crowd, *args):
+            sizes.append(np.size(crowd))
+            return real(params, sigma_L, crowd, *args)
+
+        monkeypatch.setattr(mfg, "_response", spy)
+        params = make_params(**dict(BENCH_CASCADE, N=10**6, M=1e4))
+        for schedule in ("async", "sync"):
+            sizes.clear()
+            trace = cascade_simulate(params, 1.0, 0.01, schedule=schedule)
+            assert trace.converged and trace.adoption_fraction[-1] == 1.0
+            assert 0 < len(sizes) <= len(trace.rounds) - 1
+            assert max(sizes) <= 2
+
+
+def _response_table(params, sigma_L):
+    """up[k] and down[k] for k = 0..N: whether an agent at 0, or at M, moves
+    to the other corner when k agents sit at M, read from the corner rule
+    for every count of others at M."""
+    n, M = params.N, params.M
+    crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
+    obfuscate, abstain = _response(params, sigma_L, crowd)
+    return np.append(obfuscate, False), np.insert(abstain, 0, False)
+
+
+def _table_cascade(params, sigma_L, seed_fraction, schedule, rng_seed,
+                   max_rounds):
+    """The cascade read from the full response table, with the seed placed
+    on a grid of k/N."""
+    n, M = params.N, params.M
+    up, down = _response_table(params, sigma_L)
+    states = np.zeros(n, dtype=bool)
+    states[: np.searchsorted(np.arange(n + 1) / n, seed_fraction)] = True
+    rounds = [np.where(states, M, 0.0)]
+    fractions = [states.mean()]
+    converged = False
+    for _ in range(max_rounds):
+        k = np.count_nonzero(states)
+        if up[k] and down[k]:
+            if schedule == "sync":
+                states = ~states
+            else:
+                first = np.random.default_rng(rng_seed).permutation(n)[0]
+                states[:] = not states[first]
+        elif up[k] or down[k]:
+            states[:] = up[k]
+        rounds.append(np.where(states, M, 0.0))
+        fractions.append(states.mean())
+        if not (up[k] or down[k]):
+            converged = True
+            break
+    return (rounds, [float(f) for f in fractions], converged,
+            float(M * M * states.mean()))
 
 
 def _mean_other_deviation(states, i, M):

@@ -273,6 +273,33 @@ class TestTauExact:
         assert _verify_leader_optimality(params, report) == (
             roots[0], induced_leader_utility(params, roots[0]))
 
+    @pytest.mark.parametrize("cap, value", [("MAX_STRETCHES", 1),
+                                            ("STRETCH_STEPS", 2)])
+    def test_capped_steps_leave_the_roots_to_bisection(self, monkeypatch,
+                                                       cap, value):
+        # one stretch leaves [first bracket, M] to the closing bisection,
+        # and two steps a stretch stall into bisection of the rest: either
+        # way the same roots, bit for bit
+        params = GameParams(**self.FAR_BELOW_M)
+        roots = threshold_crossings(params)
+        monkeypatch.setattr(crossings, cap, value)
+        assert threshold_crossings(params) == roots
+
+    def test_reach_at_the_ends_of_the_inverse_laws(self):
+        params = make_params()
+        # the pressure starts at its floor: no step can be proved
+        assert crossings._reach(
+            params, (params.P_S, math.nextafter(params.P_S, 0.0)), True) == 0.0
+        # pressure never falls to an abstain value of 0 (C_S = 0)
+        free = make_params(C_S=0.0)
+        assert crossings._reach(free, (5e-324, 0.0), True) == math.inf
+        # the inverse privacy law leaves the float range
+        steep = make_params(conventions=ModelConventions(
+            c_p=1e300, privacy_exponent=0.5))
+        assert crossings._reach(steep, (2.0, 1.0), True) == math.inf
+        # the abstain value never falls below C_S to a pressure under it
+        assert crossings._reach(params, (0.5, 1.2), False) == math.inf
+
     def test_crossings_where_pressure_falls_in_steps(self):
         # near the last two crossings 1 - exp(-eps) cancels, so the computed
         # pressure falls in steps of ~1e-6 of itself and proved steps stall;
