@@ -21,9 +21,9 @@ from typing import NoReturn
 import numpy as np
 
 from . import dp, erm, mfg, stackelberg
-from .config import GAME_FIELDS, RunConfig, parse_config
+from .config import _SCHEMA, GAME_FIELDS, RunConfig, parse_config
 from .errors import ConfigError, InconsistencyError, ObfGameError
-from .model import GameParams, _accepts_grid
+from .model import GameParams
 
 ERM_R_SQUARED_THRESHOLD = 0.9
 DP_RELATIVE_DEVIATION_THRESHOLD = 1e-12
@@ -114,8 +114,15 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
             for name in GAME_FIELDS if name not in names}
     conventions = config.conventions()
     values = {name: grid.tolist() for name, grid in grids.items()}
-    fixed = {name: [value] for name, value in base.items()}
-    if not _accepts_grid({**fixed, **values}, conventions):
+    # one array axis per swept field, in row order
+    axes = range(len(shape))
+    columns = {**base, **{
+        name: grid.reshape([-1 if axis == i else 1 for axis in axes])
+        for i, (name, grid) in enumerate(grids.items())}}
+    try:
+        kind, tau_h, utility = stackelberg._closed_form_columns(
+            **columns, conventions=conventions)
+    except ValueError:
         # name the first point, in grid order, that GameParams refuses
         for point in itertools.product(*values.values()):
             point = dict(zip(names, point))
@@ -123,15 +130,8 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
                 GameParams(conventions=conventions, **base, **point)
             except ValueError as exc:
                 raise ConfigError(f"sweep point {point}: {exc}")
+        raise
 
-    # one array axis per swept field, in row order
-    axes = range(len(shape))
-    columns = {**base, **{
-        name: grid.reshape([-1 if axis == i else 1 for axis in axes])
-        for i, (name, grid) in enumerate(grids.items())}}
-    regime, infeasible, tau_h, utility = stackelberg._closed_form_columns(
-        **columns, conventions=conventions)
-    kind = np.where(infeasible, _INFEASIBLE, regime)
     tau_cells = _reprs(tau_h, nan="")
     # the table: a promise is tau_hat, full obfuscation's crowd is M, and
     # Boundary and Infeasible rows carry no equilibrium
@@ -153,8 +153,7 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
         while chunk := list(itertools.islice(rows, SWEEP_CHUNK_ROWS)):
             handle.write("\n".join(chunk) + "\n")
     print(f"sweep: {total} points -> {path} "
-          f"({np.count_nonzero(np.broadcast_to(infeasible, shape))} "
-          f"infeasible)")
+          f"({np.count_nonzero(kind == _INFEASIBLE)} infeasible)")
     return 0
 
 
@@ -181,7 +180,7 @@ def run_cascade(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
         config.require("cascade.seed_fraction"),
         schedule=config.get("cascade.schedule"), rng_seed=rng_seed,
         max_rounds=config.get("cascade.max_rounds"))
-    rows = [(i, frac, params.M**2 * frac, trace.converged)
+    rows = [(i, frac, params.M * params.M * frac, trace.converged)
             for i, frac in enumerate(trace.adoption_fraction)]
     _write_csv(out_dir / "cascade.csv",
                ["round", "adoption_fraction", "mean_variance", "converged"],
@@ -248,18 +247,12 @@ COMMANDS = {
 }
 
 
-def _output_format(value: str) -> str:
-    if value not in ("csv", "json"):
-        raise ValueError(value)
-    return value
-
-
 # the whole grammar: every command takes these options, as ``--name value``
 # or ``--name=value``, in any order around the command; the last repeat wins
 OPTIONS = {  # name: (metavar, converter, help)
     "--config": ("PATH", str, "config file (required)"),
     "--out": ("DIR", str, "output directory (default: output.dir)"),
-    "--format": ("csv|json", _output_format,
+    "--format": ("csv|json", _SCHEMA["output.format"],
                  "solve's output format (default: output.format)"),
     "--seed": ("N", int, "RNG seed (default: rng_seed)"),
     "--jobs": ("N", int, "accepted and ignored: sweeps run serially"),
@@ -296,7 +289,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
             metavar, convert, _ = OPTIONS[name]
             try:
                 values[name] = convert(value)
-            except ValueError:
+            except (ConfigError, ValueError):
                 _usage_error(f"argument {name} {metavar}: "
                              f"invalid value {value!r}")
         elif command is None and arg in COMMANDS:

@@ -201,10 +201,12 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
         k = np.count_nonzero(states)
         # An agent at 0 sees j = k others at M (read while k < N) and one at
         # M sees k - 1: their mean deviation sqrt(M^2 j / (N - 1)) is 0 for a
-        # lone agent and capped at M, which it can exceed at j = N - 1.
+        # lone agent and capped at M, which it can exceed at j = N - 1, and
+        # which it takes where M^2 j overflows to inf.
         j = np.array([min(k, n - 1), max(k - 1, 0)])
-        obfuscate, abstain = _response(
-            params, sigma_L, np.minimum(M, np.sqrt(M * M * j / max(n - 1, 1))))
+        with np.errstate(over="ignore"):
+            crowd = np.minimum(M, np.sqrt(M * M * j / max(n - 1, 1)))
+        obfuscate, abstain = _response(params, sigma_L, crowd)
         up, down = k < n and obfuscate[0], k > 0 and abstain[1]
         moving = up or down
         if up and down:

@@ -83,10 +83,9 @@ class GameParams:
     conventions: ModelConventions = field(default_factory=ModelConventions)
 
     def __post_init__(self):
-        for names, test, rule in _FIELD_RULES:
-            for name in names:
-                if not test(getattr(self, name)):
-                    raise ValueError(f"{name} must be {rule}")
+        # not vars(self): a materialized __dict__ slows every field read
+        _check_fields({name: (getattr(self, name),)
+                       for name in (*_FLOATS, "N")})
         for name in _FLOATS:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "N", int(self.N))
@@ -112,6 +111,15 @@ _FIELD_RULES = (
 )
 
 
+def _check_fields(values: dict) -> None:
+    """Raise GameParams' ValueError for the first of _FIELD_RULES that some
+    value breaks; ``values`` maps each field to a sequence of its values."""
+    for names, test, rule in _FIELD_RULES:
+        for name in names:
+            if not all(map(test, values[name])):
+                raise ValueError(f"{name} must be {rule}")
+
+
 def _derived_kappa(M: float, rho: float, N: int, c_g: float) -> float:
     """kappa = 1/(rho^2 N) of fields that pass _FIELD_RULES, after checking
     that the laws get M^2, kappa and c_g kappa as finite positive floats;
@@ -131,25 +139,6 @@ def _derived_kappa(M: float, rho: float, N: int, c_g: float) -> float:
             f"rho={rho}, N={N} and c_g={c_g} must give a "
             f"finite c_g * kappa = c_g/(rho^2 N)")
     return scale
-
-
-def _accepts_grid(values: dict, conventions: ModelConventions) -> bool:
-    """Whether GameParams accepts every point of the grid whose fields take
-    the listed values (``values`` maps each field to a list).  A field rule
-    reads one field and a derived constant M, or rho and N together, so the
-    rules run on the values, on each M and on each (rho, N) pair alone."""
-    if not all(test(value) for names, test, _ in _FIELD_RULES
-               for name in names for value in values[name]):
-        return False
-    M, rho, N = (values[name] for name in ("M", "rho", "N"))
-    points = ([(m, rho[0], N[0]) for m in M]
-              + [(M[0], r, n) for r in rho for n in N])
-    try:
-        for m, r, n in points:
-            _derived_kappa(float(m), float(r), int(n), conventions.c_g)
-    except ValueError:
-        return False
-    return True
 
 
 def kappa(params: GameParams) -> float:

@@ -21,6 +21,7 @@ from .mfg import gamma
 from .model import (
     GameParams,
     ModelConventions,
+    _check_fields,
     _derived_kappa,
     _learner,
     kappa,
@@ -264,37 +265,40 @@ def _elementwise(f, *columns) -> np.ndarray:
 
 def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
                          conventions: ModelConventions):
-    """classify_regime over a grid, each field given as a number or an array
-    (broadcast against the others) of values that GameParams accepts.
-    Returns arrays over the broadcast grid: the regime as an index into
-    EquilibriumRegime, the Infeasible mask (a promise above M), tau_hat (nan
-    where the record has none) and the leader utility at the equilibrium
-    (nan on Boundary and Infeasible points).  Scalar laws run elementwise on
-    Python numbers, each on the fewest fields it reads, and numpy does only
-    +, -, *, /, comparisons and selections in _closed_form's order, so every
-    value is the scalar path's to the bit."""
+    """classify_regime over a grid, each field a number or an array
+    (broadcast against the others; a float field takes floats).  Raises
+    ValueError where GameParams refuses a point.  Returns arrays over the
+    broadcast grid: the row kind (an index into EquilibriumRegime, or 4 for
+    Infeasible: a promise above M), tau_hat (nan where the record has none)
+    and the leader utility at the equilibrium (nan on Boundary and
+    Infeasible points).  Scalar laws run elementwise on Python numbers, each
+    on the fewest fields it reads, and numpy does only +, -, *, /,
+    comparisons and selections in _closed_form's order, so every value is
+    the scalar path's to the bit."""
+    _check_fields({name: np.ravel(column).tolist() for name, column in zip(
+        ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "N", "M"),
+        (A_L, C_L, A_S, P_S, C_S, rho, N, M))})
+    scale = _elementwise(_derived_kappa, M, rho, N, conventions.c_g)
     privacy_log = _elementwise(_privacy_log, P_S, C_S)
     tau_h = _elementwise(_inverse_root, privacy_log)
     log_benefit = _elementwise(_log_quotient, A_L, C_L)
-    scale = _elementwise(_derived_kappa, M, rho, N, conventions.c_g)
     with np.errstate(invalid="ignore", over="ignore"):
         threshold = np.where(privacy_log == 0, 0.0, log_benefit * privacy_log)
         row, surplus_band, kappa_band = _table(P_S - C_S, A_S, scale,
                                                threshold)
         regime = np.where(surplus_band | kappa_band, 3, row)
-        infeasible = (regime == 2) & (tau_h > M)
+        kind = np.where((regime == 2) & (tau_h > M), 4, regime)
         # learner_utility at the equilibrium, as _accuracy orders it
-        v_L = np.where((regime == 2) & ~infeasible, _elementwise(
+        v_L = np.where(kind == 2, _elementwise(
             pow, np.where(tau_h <= M, tau_h, 0.0), 2), 0.0)
-        v_bar = np.where(regime == 1, _elementwise(pow, M, 2), 0.0)
+        v_bar = np.where(kind == 1, _elementwise(pow, M, 2), 0.0)
         n = np.asarray(N, dtype=float)
         share = _elementwise(_others_share, N)
         accuracy = (conventions.c_g * scale) * ((v_L + share * v_bar)
                                                 + v_bar / n)
         utility = A_L * _elementwise(math.exp, -accuracy) - C_L * (v_L > 0)
-        solved = (regime < 3) & ~infeasible
-    return (regime, infeasible, np.where(np.isfinite(tau_h), tau_h, math.nan),
-            np.where(solved, utility, math.nan))
+    return (kind, np.where(np.isfinite(tau_h), tau_h, math.nan),
+            np.where(kind < 3, utility, math.nan))
 
 
 def _promise(params: GameParams, regime: EquilibriumRegime,

@@ -20,6 +20,7 @@ import obfgame
 from obfgame import (
     GameParams,
     InfeasiblePromiseError,
+    cascade_simulate,
     classify_regime,
     erm,
     tau_hat,
@@ -558,6 +559,21 @@ class TestCascadeCommand:
                      "--seed", "1"]) == 0
         assert (out / "cascade.csv").read_bytes() == (
             ROOT / "bench" / "ref" / "cascade.csv").read_bytes()
+
+    def test_mean_variance_is_the_traces(self, tmp_path):
+        # M**2 and M*M differ in the last bit at this M; the cells square M
+        # as cascade_simulate's final_mean_variance does
+        M = 71.97914879159255
+        assert M**2 != M * M
+        cfg = write_config(tmp_path, self.CASCADE.replace(
+            "game.M = 100.0", f"game.M = {M!r}"))
+        out = tmp_path / "out"
+        assert main(["cascade", "--config", cfg, "--out", str(out)]) == 0
+        trace = cascade_simulate(parse_config(cfg).game_params(), 1.0, 0.01,
+                                 rng_seed=1, max_rounds=20)
+        last = (out / "cascade.csv").read_text().splitlines()[-1].split(",")
+        assert last[1] == "1.0"
+        assert last[2] == repr(trace.final_mean_variance)
 
     @pytest.mark.parametrize("schedule", ["async", "sync"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, schedule):

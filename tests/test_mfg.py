@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +579,18 @@ class TestCascadeEquivalence:
         for schedule in ("async", "sync"):
             trace = cascade_simulate(params, 0.0, 0.0, schedule=schedule)
             assert trace.converged and trace.adoption_fraction[-1] == 1.0
+
+    def test_full_adoption_where_the_crowd_overflows(self):
+        # M^2 j leaves the float range at j >= 1: the crowd is M, with no
+        # numpy overflow warning
+        params = make_params(A_S=1.0, P_S=4.0, C_S=1.0, N=3, M=1.3e154)
+        for schedule in ("async", "sync"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = cascade_simulate(params, 0.0, 0.0, schedule=schedule)
+            assert trace.adoption_fraction == [0.0, 1.0, 1.0]
+            assert trace.converged
+            assert trace.final_mean_variance == 1.3e154 * 1.3e154
 
 
 class TestBrCurve:

@@ -23,7 +23,7 @@ from obfgame import (
     privacy_pressure,
     user_utility,
 )
-from obfgame.model import _accepts_grid
+from obfgame import stackelberg
 
 
 # a valid point, and valid and invalid values of each field to add to it
@@ -366,9 +366,10 @@ class TestValidation:
          for value in pool]), max_size=3),
            c_g=st.sampled_from([1.0, 1e5]))
     def test_grid_check_agrees_with_construction(self, extra, c_g):
-        # the sweep checks a grid by GameParams' predicates on each field's
-        # values and on the (rho, N) pairs; GameParams is the reference.
-        # The grid is the default point with up to three values added.
+        # the sweep's column form refuses a grid by GameParams' rules on
+        # each field's values and its derived constants on each point;
+        # GameParams is the reference.  The grid is the default point with
+        # up to three values added, each field on an axis of its own.
         conventions = ModelConventions(c_g=c_g)
         values = {name: [value] for name, value in GRID_BASE.items()}
         for name, value in extra:
@@ -383,7 +384,17 @@ class TestValidation:
             return True
 
         every = all(map(accepted, itertools.product(*values.values())))
-        assert _accepts_grid(values, conventions) == every
+        # object arrays keep each value's Python type (True, 10**400)
+        columns = {name: np.array(pool, dtype=object).reshape(
+            [-1 if axis == i else 1 for axis in range(len(names))])
+            for i, (name, pool) in enumerate(values.items())}
+        try:
+            stackelberg._closed_form_columns(conventions=conventions,
+                                             **columns)
+        except ValueError:
+            assert not every
+        else:
+            assert every
 
     def test_rejects_bad_conventions(self):
         with pytest.raises(ValueError):

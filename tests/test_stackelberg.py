@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -299,6 +300,48 @@ class TestTauExact:
         assert crossings._reach(steep, (2.0, 1.0), True) == math.inf
         # the abstain value never falls below C_S to a pressure under it
         assert crossings._reach(params, (0.5, 1.2), False) == math.inf
+
+    def test_step_halved_where_the_bound_fails(self):
+        # a step to the reach of the inverse laws lands on the same side but
+        # the cell bound cannot prove it, so _advance halves it; a line
+        # tracer counts the halving
+        params = GameParams(
+            A_L=2.0, C_L=0.1, A_S=0.03953496677558228,
+            P_S=167.36686643495943, C_S=7.875144371106212e-13,
+            rho=0.649560569641872, N=99197, M=16866774967.877542,
+            conventions=ModelConventions(c_g=0.30404262940022936,
+                                         c_p=0.010302085916093153))
+        lines, start = inspect.getsourcelines(crossings._advance)
+        halving = start + next(i for i, line in enumerate(lines)
+                               if "share *= 0.5" in line)
+        hits = []
+
+        def trace(frame, event, arg):
+            if frame.f_code is not crossings._advance.__code__:
+                return None
+
+            def line(frame, event, arg):
+                if event == "line" and frame.f_lineno == halving:
+                    hits.append(frame.f_locals["share"])
+                return line
+            return line
+
+        sys.settrace(trace)
+        try:
+            roots = threshold_crossings(params)
+        finally:
+            sys.settrace(None)
+        assert hits
+        # 50-digit mpmath roots; the third is 1479680.887..., which the
+        # computed gap misses by 0.14% as 1 - exp(-eps) cancels there
+        assert len(roots) == 3
+        assert roots[:2] == pytest.approx(
+            [6.6046499635848922858, 1196.4512450081149009], rel=1e-9)
+        _, brackets, _ = dense_crossings(params)
+        assert len(brackets) == 3
+        for root, (lo, hi) in zip(roots, brackets):
+            assert lo <= root <= hi
+            assert gamma(params, root) == 0.0
 
     def test_crossings_where_pressure_falls_in_steps(self):
         # near the last two crossings 1 - exp(-eps) cancels, so the computed
@@ -673,18 +716,16 @@ def scalar_cells(params):
 def column_labels(conventions=ModelConventions(), **columns):
     """Check _closed_form_columns against classify_regime at every point of
     the grid the columns span; return the row kinds seen."""
-    results = np.broadcast_arrays(*stackelberg._closed_form_columns(
-        conventions=conventions, **columns))
-    regime, infeasible, tau_h, utility = results
-    labels = [r.value for r in EquilibriumRegime]
+    kind, tau_h, utility = np.broadcast_arrays(
+        *stackelberg._closed_form_columns(conventions=conventions, **columns))
+    labels = [r.value for r in EquilibriumRegime] + ["Infeasible"]
     seen = set()
-    for index in np.ndindex(regime.shape):
+    for index in np.ndindex(kind.shape):
         params = GameParams(conventions=conventions, **{
-            name: np.broadcast_to(value, regime.shape)[index].item()
+            name: np.broadcast_to(value, kind.shape)[index].item()
             for name, value in columns.items()})
         tau = float(tau_h[index])
-        got = ("Infeasible" if infeasible[index] else labels[regime[index]],
-               "" if math.isnan(tau) else repr(tau),
+        got = (labels[kind[index]], "" if math.isnan(tau) else repr(tau),
                repr(float(utility[index])))
         assert got == scalar_cells(params), params
         seen.add(got[0])
