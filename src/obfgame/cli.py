@@ -66,9 +66,9 @@ def _finite(value):
     return value
 
 
-def run_solve(config: RunConfig, out_dir: Path, out_format: str) -> int:
+def run_solve(config: RunConfig, out_dir: Path) -> int:
     report = stackelberg.pbne_solve(config.game_params())
-    if out_format == "json":
+    if config.get("output.format") == "json":
         report_dict = _finite({**dataclasses.asdict(report),
                                "regime": report.regime.value})
         _write_text(out_dir / "solve.json",
@@ -107,18 +107,12 @@ def _reprs(values, nan: str = "nan") -> np.ndarray:
 def run_sweep(config: RunConfig, out_dir: Path) -> int:
     grids = config.sweep_grids()
     names = list(grids)
-    shape = tuple(len(grid) for grid in grids.values())
-    total = math.prod(shape)
-
     base = {name: config.require(f"game.{name}")
             for name in GAME_FIELDS if name not in names}
     conventions = config.conventions()
     values = {name: grid.tolist() for name, grid in grids.items()}
     # one array axis per swept field, in row order
-    axes = range(len(shape))
-    columns = {**base, **{
-        name: grid.reshape([-1 if axis == i else 1 for axis in axes])
-        for i, (name, grid) in enumerate(grids.items())}}
+    columns = {**base, **dict(zip(names, np.ix_(*grids.values())))}
     try:
         kind, tau_h, utility = stackelberg._closed_form_columns(
             **columns, conventions=conventions)
@@ -138,9 +132,9 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
     unsolved = np.where(kind < _BOUNDARY, "0.0", "nan")
     sigma_L = np.where(kind == _PROMISE, tau_cells, unsolved)
     sigma_bar = np.where(kind == _FULL, _reprs(columns["M"]), unsolved)
-    cells = [np.broadcast_to(column, shape).ravel().tolist() for column in
-             (REGIME_CELLS[kind], sigma_L, sigma_bar, _reprs(utility),
-              tau_cells)]
+    cells = [np.broadcast_to(column, kind.shape).ravel().tolist()
+             for column in (REGIME_CELLS[kind], sigma_L, sigma_bar,
+                            _reprs(utility), tau_cells)]
     prefixes = map(",".join, itertools.product(
         *([repr(value) for value in grid] for grid in values.values())))
     rows = map(",".join, zip(prefixes, *cells))
@@ -152,7 +146,7 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
                      + "\n")
         while chunk := list(itertools.islice(rows, SWEEP_CHUNK_ROWS)):
             handle.write("\n".join(chunk) + "\n")
-    print(f"sweep: {total} points -> {path} "
+    print(f"sweep: {kind.size} points -> {path} "
           f"({np.count_nonzero(kind == _INFEASIBLE)} infeasible)")
     return 0
 
@@ -173,12 +167,13 @@ def run_br_curve(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def run_cascade(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
+def run_cascade(config: RunConfig, out_dir: Path) -> int:
     params = config.game_params()
     trace = mfg.cascade_simulate(
         params, config.require("cascade.sigma_L"),
         config.require("cascade.seed_fraction"),
-        schedule=config.get("cascade.schedule"), rng_seed=rng_seed,
+        schedule=config.get("cascade.schedule"),
+        rng_seed=config.get("rng_seed"),
         max_rounds=config.get("cascade.max_rounds"))
     rows = [(i, frac, params.M * params.M * frac, trace.converged)
             for i, frac in enumerate(trace.adoption_fraction)]
@@ -190,7 +185,7 @@ def run_cascade(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
     return 0
 
 
-def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
+def run_validate(config: RunConfig, out_dir: Path) -> int:
     # the DP check is cheap, so its config errors surface before the ERM runs
     spec = dp.DpSpec(delta=config.get("experiment.dp.delta"),
                      sensitivity=config.get("experiment.dp.sensitivity"))
@@ -203,7 +198,7 @@ def run_validate(config: RunConfig, out_dir: Path, rng_seed: int) -> int:
         gen, config.get("experiment.erm.n"), erm_config,
         config.get("experiment.erm.levels"),
         replications=config.get("experiment.erm.replications"),
-        rng_seed=rng_seed,
+        rng_seed=config.get("rng_seed"),
         n_eval=config.get("experiment.erm.n_eval"),
         n_ref=config.get("experiment.erm.n_ref"),
         carriers=config.get("experiment.erm.carriers"),
@@ -248,13 +243,14 @@ COMMANDS = {
 
 
 # the whole grammar: every command takes these options, as ``--name value``
-# or ``--name=value``, in any order around the command; the last repeat wins
-OPTIONS = {  # name: (metavar, converter, help)
+# or ``--name=value``, in any order around the command; the last repeat wins.
+# An option named by a config key parses as that key and overrides it.
+OPTIONS = {  # name: (metavar, config key or converter, help)
     "--config": ("PATH", str, "config file (required)"),
-    "--out": ("DIR", str, "output directory (default: output.dir)"),
-    "--format": ("csv|json", _SCHEMA["output.format"],
+    "--out": ("DIR", "output.dir", "output directory (default: output.dir)"),
+    "--format": ("csv|json", "output.format",
                  "solve's output format (default: output.format)"),
-    "--seed": ("N", int, "RNG seed (default: rng_seed)"),
+    "--seed": ("N", "rng_seed", "RNG seed (default: rng_seed)"),
     "--jobs": ("N", int, "accepted and ignored: sweeps run serially"),
 }
 USAGE = ("usage: obfgame <solve|sweep|br-curve|cascade|validate> --config PATH"
@@ -274,9 +270,10 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _parse_args(argv: list[str]) -> tuple[str, dict]:
-    """The command and each option's converted value (None where absent).
-    ``-h``/``--help`` prints the help and exits 0; a usage error exits 2."""
-    command, values = None, dict.fromkeys(OPTIONS)
+    """The command and the converted value of each option given, under its
+    config key where it has one, else under its name.  ``-h``/``--help``
+    prints the help and exits 0; a usage error exits 2."""
+    command, values = None, {}
     args = iter(argv)
     for arg in args:
         if arg in ("-h", "--help"):
@@ -286,9 +283,11 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
         if name in OPTIONS:
             if not eq and (value := next(args, None)) is None:
                 _usage_error(f"argument {name}: expected one argument")
-            metavar, convert, _ = OPTIONS[name]
+            metavar, key, _ = OPTIONS[name]
+            key, convert = ((key, _SCHEMA[key]) if isinstance(key, str)
+                            else (name, key))
             try:
-                values[name] = convert(value)
+                values[key] = convert(value)
             except (ConfigError, ValueError):
                 _usage_error(f"argument {name} {metavar}: "
                              f"invalid value {value!r}")
@@ -298,7 +297,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
             _usage_error(f"unrecognized argument {arg!r}")
     if command is None:
         _usage_error("a command is required")
-    if values["--config"] is None:
+    if "--config" not in values:
         _usage_error("argument --config is required")
     return command, values
 
@@ -307,21 +306,13 @@ def main(argv: list[str] | None = None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = parse_config(args["--config"])
-        out_dir = Path(args["--out"] if args["--out"] is not None
-                       else config.get("output.dir"))
-        out_format = (args["--format"] if args["--format"] is not None
-                      else config.get("output.format"))
-        rng_seed = (args["--seed"] if args["--seed"] is not None
-                    else config.get("rng_seed"))
-        if command == "solve":
-            return run_solve(config, out_dir, out_format)
-        if command == "sweep":
-            return run_sweep(config, out_dir)
-        if command == "br-curve":
-            return run_br_curve(config, out_dir)
-        if command == "cascade":
-            return run_cascade(config, out_dir, rng_seed)
-        return run_validate(config, out_dir, rng_seed)
+        config.entries.update(
+            (key, value) for key, value in args.items() if key in _SCHEMA)
+        # built per call, so that a runner replaced on the module runs
+        run = {"solve": run_solve, "sweep": run_sweep,
+               "br-curve": run_br_curve, "cascade": run_cascade,
+               "validate": run_validate}[command]
+        return run(config, Path(config.get("output.dir")))
     except (ConfigError, ValueError) as exc:
         # every ValueError here stems from a config-supplied value
         print(f"config error: {exc}", file=sys.stderr)

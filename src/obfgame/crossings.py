@@ -36,7 +36,7 @@ def _laws(params: GameParams, sigma: float) -> tuple[float, float]:
     """(P, B) at a promise: the privacy loss and the abstain value against a
     non-obfuscating crowd.  Both are non-increasing in sigma, and P - B is
     the pressure gap that gamma reads."""
-    v = sigma**2
+    v = sigma * sigma
     return _privacy_loss(params, v, 0.0), _abstain(params, v, 0.0)
 
 
@@ -51,9 +51,9 @@ def _holds(lo: tuple[float, float], hi: tuple[float, float],
     """The cell bound, from the laws at a cell's ends: the gap is positive on
     the whole cell where P(hi) > B(lo), and at most 0 where P(lo) <= B(hi).
     The laws' float kernels are monotone (math.exp and ** are, and so is
-    rounding a product or sum with a fixed operand), and the sign of a float
-    difference is exact, so the bound holds for the computed gap at every
-    float in the cell."""
+    rounding a square x * x of x >= 0 or a product or sum with a fixed
+    operand), and the sign of a float difference is exact, so the bound
+    holds for the computed gap at every float in the cell."""
     return hi[0] > lo[1] if obfuscates else lo[0] <= hi[1]
 
 
@@ -110,7 +110,7 @@ def _monotone(params: GameParams, lo: float, hi: float) -> bool:
     the root."""
     cv = params.conventions
     scale = cv.c_g * params._kappa
-    v_lo, v_hi = lo**2, hi**2
+    v_lo, v_hi = lo * lo, hi * hi
     eps_lo, eps_hi = _privacy(params, v_lo, 0.0), _privacy(params, v_hi, 0.0)
     slope_lo = _privacy_slope(params, v_lo, eps_lo)
     slope_hi = _privacy_slope(params, v_hi, eps_hi)
@@ -150,10 +150,11 @@ def _refine(params: GameParams, lo: float, hi: float, f_lo: float,
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break
-        f_x = _pressure_gap(params, x**2, 0.0)
-        if f_x == 0.0 and _pressure_gap(params, math.nextafter(
-                x, hi if deterred_lo else lo)**2, 0.0) > 0.0:
-            return x  # the sign changes at the next float
+        f_x = _pressure_gap(params, x * x, 0.0)
+        if f_x == 0.0:
+            y = math.nextafter(x, hi if deterred_lo else lo)
+            if _pressure_gap(params, y * y, 0.0) > 0.0:
+                return x  # the sign changes at the next float
         if (f_x <= 0.0) == deterred_lo:
             lo, f_lo = x, f_x
             f_hi *= 0.5 if kept == -1 else 1.0

@@ -85,7 +85,7 @@ def scaling_check(spec: DpSpec,
     sqrt(sigma_L^2 + sigma_S^2) and report how far epsilon * combined_std
     strays from its analytic constant.  Raises ValueError on a negative
     sigma or a non-finite combined std, naming the pair."""
-    constant = spec.sensitivity * math.sqrt(2.0 * math.log(1.25 / spec.delta))
+    constant = gaussian_epsilon(spec, 1.0).epsilon
     rows = []
     max_dev = 0.0
     for i, (sigma_L, sigma_S) in enumerate(sigma_pairs):

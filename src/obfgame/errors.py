@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ObfGameError",
+    "ConfigError",
+    "UndefinedThresholdError",
+    "InfeasiblePromiseError",
+    "NoCrossingError",
+    "InconsistencyError",
+    "InfiniteLeakageError",
+    "DegenerateRegressionError",
+]
+
 
 class ObfGameError(Exception):
     """Base class for all package-specific errors."""

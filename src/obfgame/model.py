@@ -147,17 +147,19 @@ def kappa(params: GameParams) -> float:
 
 
 def _variance(params: GameParams, name: str, sigma):
-    """sigma^2 after checking that sigma lies in [0, M] (NaN does not): a
-    float for a float, else a float array."""
+    """sigma * sigma after checking that sigma lies in [0, M] (NaN does not):
+    a float for a float, else a float array.  Every deviation is squared so,
+    as C pow (a float's **) differs from it in the last bit on some."""
     if isinstance(sigma, (float, int)):
         if not 0 <= sigma <= params.M:
             raise ValueError(f"{name}={sigma} outside [0, M={params.M}]")
-        return float(sigma)**2
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size and not (sigma.min() >= 0 and sigma.max() <= params.M):
-        bad = sigma[~((sigma >= 0) & (sigma <= params.M))].flat[0]
-        raise ValueError(f"{name}={bad} outside [0, M={params.M}]")
-    return sigma**2
+        sigma = float(sigma)
+    else:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.size and not (sigma.min() >= 0 and sigma.max() <= params.M):
+            bad = sigma[~((sigma >= 0) & (sigma <= params.M))].flat[0]
+            raise ValueError(f"{name}={bad} outside [0, M={params.M}]")
+    return sigma * sigma
 
 
 def _exp(x):

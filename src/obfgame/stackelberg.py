@@ -255,8 +255,8 @@ def _others_share(N) -> float:
 
 def _elementwise(f, *columns) -> np.ndarray:
     """f over the broadcast of the columns (numbers or arrays), called on
-    Python numbers so that it rounds as on the scalar path: numpy's log, exp
-    and squares differ from math's and Python's by an ulp on some inputs."""
+    Python numbers so that it rounds as on the scalar path: numpy's log and
+    exp differ from math's by an ulp on some inputs."""
     shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
     args = (np.broadcast_to(column, shape).ravel().tolist()
             for column in columns)
@@ -289,9 +289,9 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
         regime = np.where(surplus_band | kappa_band, 3, row)
         kind = np.where((regime == 2) & (tau_h > M), 4, regime)
         # learner_utility at the equilibrium, as _accuracy orders it
-        v_L = np.where(kind == 2, _elementwise(
-            pow, np.where(tau_h <= M, tau_h, 0.0), 2), 0.0)
-        v_bar = np.where(kind == 1, _elementwise(pow, M, 2), 0.0)
+        promise = np.where(tau_h <= M, tau_h, 0.0)
+        v_L = np.where(kind == 2, promise * promise, 0.0)
+        v_bar = np.where(kind == 1, M * M, 0.0)
         n = np.asarray(N, dtype=float)
         share = _elementwise(_others_share, N)
         accuracy = (conventions.c_g * scale) * ((v_L + share * v_bar)
@@ -378,7 +378,7 @@ def _verify_leader_optimality(params: GameParams, report: EquilibriumReport):
     sigma_dagger, closed = report.sigma_L_dagger, report.learner_utility_at_eq
     th = report.thresholds
     arg, sup = 0.0, induced_leader_utility(params, 0.0)
-    bound = _learner(params, 0.0, params.M**2)
+    bound = _learner(params, 0.0, params.M * params.M)
     if th.tau_exact is not None:
         at_exact = induced_leader_utility(params, th.tau_exact)
         if at_exact > sup:

@@ -23,6 +23,7 @@ from obfgame import (
     cascade_simulate,
     classify_regime,
     erm,
+    mfg,
     tau_hat,
 )
 from obfgame.cli import _fmt, main
@@ -687,6 +688,52 @@ class TestCommandLine:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "cascade.csv").is_file()
+
+
+class TestKeyedOptions:
+    """--out, --format and --seed stand for output.dir, output.format and
+    rng_seed: the option beats its config key, and the key beats the
+    key's default."""
+
+    @staticmethod
+    def used(work, monkeypatch, entries, options):
+        """The output directory, solve's format and the cascade's seed that
+        solve and cascade use in ``work`` with these entries and options."""
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = write_config(work, ROW3_GAME + "cascade.sigma_L = 1.0\n"
+                           "cascade.seed_fraction = 0.01\n" + entries)
+        seeds = []
+        simulate = mfg.cascade_simulate
+
+        def spy(*args, **kwargs):
+            seeds.append(kwargs["rng_seed"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(mfg, "cascade_simulate", spy)
+        assert main(["solve", "--config", cfg, *options]) == 0
+        assert main(["cascade", "--config", cfg, *options]) == 0
+        [solve] = work.glob("*/solve.*")
+        assert (solve.parent / "cascade.csv").is_file()
+        return solve.parent.name, solve.suffix[1:], str(seeds[0])
+
+    @pytest.mark.parametrize("used, option, key, given, configured, default", [
+        (0, "--out", "output.dir", "moved", "kept", "out"),
+        (1, "--format", "output.format", "csv", "json", "csv"),
+        (2, "--seed", "rng_seed", "3", "7", "0"),
+    ], ids=["out", "format", "seed"])
+    def test_option_beats_key_beats_default(self, tmp_path, monkeypatch, used,
+                                            option, key, given, configured,
+                                            default):
+        entry = f"{key} = {configured}\n"
+        assert self.used(tmp_path / "default", monkeypatch, "",
+                         [])[used] == default
+        assert self.used(tmp_path / "key", monkeypatch, entry,
+                         [])[used] == configured
+        assert self.used(tmp_path / "option", monkeypatch, entry,
+                         [option, given])[used] == given
+        assert self.used(tmp_path / "equals", monkeypatch, entry,
+                         [f"{option}={given}"])[used] == given
 
 
 @pytest.mark.parametrize("sigma_L", ["60", "-1", "nan"])

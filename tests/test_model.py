@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -297,6 +298,19 @@ class TestArrayForms:
                         for i in range(9)]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15,
                                            err_msg=law.__name__)
+
+    def test_float_and_array_square_a_deviation_alike(self):
+        # x**2 (C pow) and x*x differ in the last bit on some floats; the
+        # laws square a float deviation and an array's entries one way
+        params = GameParams(A_L=2.0, C_L=1.0, A_S=0.5, P_S=2.0, C_S=1.0,
+                            rho=1.0, N=100, M=50.0)
+        rng = random.Random(1)
+        sigmas = [rng.uniform(0.0, 50.0) for _ in range(20_000)]
+        assert any(s**2 != s * s for s in sigmas)
+        as_floats = [accuracy_level(params, s, 0.0, 0.0) for s in sigmas]
+        in_arrays = [accuracy_level(params, np.array([s]), 0.0, 0.0)[0]
+                     for s in sigmas]
+        assert as_floats == in_arrays
 
     @pytest.mark.parametrize("bad", [-1.0, 60.0, math.nan])
     def test_every_entry_is_checked(self, bad):
