@@ -4,6 +4,7 @@ response map, and best-response adoption dynamics among N agents."""
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -77,14 +78,15 @@ class MfgEquilibria:
 class CascadeTrace:
     """Round-by-round record of best-response dynamics.
 
-    rounds[0] is the seeded initial state; one entry per full update pass
-    follows.  adoption_fraction tracks the share of agents at M per entry.
-    converged means the last pass changed no agent (so the final two states
-    are identical).  final_mean_variance is the mean of agent variances in
-    the final state.
+    Every agent sits at 0 or at M, and after any move every agent sits at the
+    same corner, so a state is its count of agents at M.  rounds[0] is the
+    seeded count; one entry per full update pass follows.
+    adoption_fraction is that count over N per entry.  converged means the
+    last pass changed no agent (so the final two counts are equal).
+    final_mean_variance is the mean of agent variances in the final state.
     """
 
-    rounds: list[np.ndarray]
+    rounds: list[int]
     adoption_fraction: list[float]
     converged: bool
     final_mean_variance: float
@@ -174,7 +176,9 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     current states, "sync" updates all agents from the round-start snapshot.
     Indifferent agents keep their current action.  Stops after a pass with
     no change, or after max_rounds with converged=False.  A round decides
-    from the rule at its count k; its state and rounds entry cost O(N).
+    from the rule at its count k, read on floats as best_response reads
+    it, and costs O(1) in N: the only N-sized work is the async swap's
+    random order.
 
     The order decides an async round only where agents at both corners
     want the other one, which can happen in the first round alone: only
@@ -191,45 +195,38 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
         raise ValueError(f"rng_seed={rng_seed} must be a non-negative integer")
 
     n, M = params.N, params.M
-    states = np.zeros(n, dtype=bool)
-    states[: bisect.bisect_left(range(n + 1), seed_fraction,
-                                key=lambda k: k / n)] = True
-    rounds = [np.where(states, M, 0.0)]
-    fractions = [states.mean()]
+    k = bisect.bisect_left(range(n + 1), seed_fraction, key=lambda k: k / n)
+    rounds = [k]
     converged = False
     for _ in range(max_rounds):
-        k = np.count_nonzero(states)
         # An agent at 0 sees j = k others at M (read while k < N) and one at
         # M sees k - 1: their mean deviation sqrt(M^2 j / (N - 1)) is 0 for a
         # lone agent and capped at M, which it can exceed at j = N - 1, and
         # which it takes where M^2 j overflows to inf.
-        j = np.array([min(k, n - 1), max(k - 1, 0)])
-        with np.errstate(over="ignore"):
-            crowd = np.minimum(M, np.sqrt(M * M * j / max(n - 1, 1)))
-        obfuscate, abstain = _response(params, sigma_L, crowd)
-        up, down = k < n and obfuscate[0], k > 0 and abstain[1]
-        moving = up or down
+        up = k < n and _response(params, sigma_L, min(
+            M, math.sqrt(M * M * k / max(n - 1, 1))))[0]
+        down = k > 0 and _response(params, sigma_L, min(
+            M, math.sqrt(M * M * (k - 1) / max(n - 1, 1))))[1]
         if up and down:
             # Every agent wants the other corner: sync swaps them all, and
             # async takes all where the first of a random order goes, as
             # the gap does not fall as j grows (abstain holds up to some j
             # and obfuscate from a larger one).  Any async move leaves a
-            # unanimous state, so async gets here in round one only.
+            # unanimous state, so async gets here in round one only, where
+            # the agents at M are the seeded first k.
             if schedule == "sync":
-                states = ~states
+                k = n - k
             else:
                 first = np.random.default_rng(rng_seed).permutation(n)[0]
-                states[:] = not states[first]
-        elif moving:
-            states[:] = up  # all end where the movers go
-        rounds.append(np.where(states, M, 0.0))
-        fractions.append(states.mean())
-        if not moving:
+                k = 0 if first < k else n
+        elif up or down:
+            k = n if up else 0  # all end where the movers go
+        rounds.append(k)
+        if not (up or down):
             converged = True
             break
-    mean_variance = float(M * M * states.mean())
-    return CascadeTrace(rounds, [float(f) for f in fractions], converged,
-                        mean_variance)
+    return CascadeTrace(rounds, [c / n for c in rounds], converged,
+                        M * M * (k / n))
 
 
 def br_curve(params: GameParams, sigma_L: float,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -233,12 +234,12 @@ class TestCascade:
         a = cascade_simulate(params, 1.0, 0.3, rng_seed=17, max_rounds=20)
         b = cascade_simulate(params, 1.0, 0.3, rng_seed=17, max_rounds=20)
         assert a.adoption_fraction == b.adoption_fraction
-        assert all(np.array_equal(x, y) for x, y in zip(a.rounds, b.rounds))
+        assert a.rounds == b.rounds
 
     def test_converged_means_last_two_rounds_identical(self):
         params = make_params(**BISTABLE)
         trace = cascade_simulate(params, 1.0, 0.01, rng_seed=1, max_rounds=20)
-        assert np.array_equal(trace.rounds[-1], trace.rounds[-2])
+        assert trace.converged and trace.rounds[-1] == trace.rounds[-2]
 
     def test_non_convergence_is_flagged_not_raised(self):
         params = make_params(**BISTABLE)
@@ -251,7 +252,7 @@ class TestCascade:
             params = make_params(N=n)
             for k in range(n + 1):
                 trace = cascade_simulate(params, 0.0, k / n, max_rounds=1)
-                assert np.count_nonzero(trace.rounds[0]) == k
+                assert trace.rounds[0] == k and type(trace.rounds[0]) is int
                 assert trace.adoption_fraction[0] == k / n
 
     def test_rejects_bad_arguments(self):
@@ -305,13 +306,16 @@ class TestCascadeRandomOrder:
         # up[k] = obfuscate[k] and down[k] = abstain[k - 1]
         assert np.nonzero(obfuscate[1:] & abstain[:-1])[0].tolist() == [6]
         monkeypatch.setattr(np.random, "default_rng", recording)
-        for rng_seed in range(4):
+        # the orders of seeds 2083 and 6376 start at agents 6 and 7, the
+        # last seeded agent and the first unseeded one
+        drawn = (0, 1, 2, 3, 2083, 6376)
+        for rng_seed in drawn:
             trace = cascade_simulate(bench, 1.0, 7e-4, rng_seed=rng_seed)
             # every agent goes where the first of the order goes: agents
             # 0..6 sit at M and move to 0, the others move to M
             end = float(real(rng_seed).permutation(n)[0] >= 7)
             assert trace.adoption_fraction == [7e-4, end, end]
-        assert seeds == [0, 1, 2, 3]
+        assert seeds == list(drawn)
 
     @pytest.mark.parametrize("schedule", ["async", "sync"])
     @pytest.mark.parametrize("fraction", [0.0, 7e-4, 0.01])
@@ -371,11 +375,10 @@ class TestCascadeProperties:
         params, sigma_L = game
         trace = cascade_simulate(params, sigma_L, seed_fraction,
                                  rng_seed=rng_seed)
-        moved = [not np.array_equal(a, b)
-                 for a, b in zip(trace.rounds, trace.rounds[1:])]
+        moved = [a != b for a, b in zip(trace.rounds, trace.rounds[1:])]
         assert sum(moved) <= 1
         for after, changed in zip(trace.rounds[1:], moved):
-            assert not changed or np.all(after == after[0])
+            assert not changed or after in (0, params.N)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(game=_games(max_n=2000), seed_fraction=st.floats(0.0, 1.0),
@@ -399,34 +402,56 @@ class TestCascadeProperties:
         args = (params, sigma_L, seed_fraction, schedule, rng_seed, max_rounds)
         trace = cascade_simulate(*args)
         rounds, fractions, converged, mean_variance = _table_cascade(*args)
-        assert len(trace.rounds) == len(rounds)
-        assert all(np.array_equal(a, b) for a, b in zip(trace.rounds, rounds))
+        assert trace.rounds == _counts(rounds, schedule)
         assert trace.adoption_fraction == fractions
         assert trace.converged == converged
         assert trace.final_mean_variance == mean_variance
         if trace.converged:
             # the last count is one where neither corner moves
-            k = np.count_nonzero(trace.rounds[-1])
+            k = trace.rounds[-1]
             assert not up[k] and not down[k]
 
     def test_each_round_reads_two_responses(self, monkeypatch):
         # at N = 10^6 a round evaluates the rule for the two agents at its
-        # count, never for a crowd of N
-        sizes = []
+        # count, each on a float crowd as best_response does, never for a
+        # crowd of N
+        crowds = []
         real = mfg._response
 
         def spy(params, sigma_L, crowd, *args):
-            sizes.append(np.size(crowd))
+            crowds.append(crowd)
             return real(params, sigma_L, crowd, *args)
 
         monkeypatch.setattr(mfg, "_response", spy)
         params = make_params(**dict(BENCH_CASCADE, N=10**6, M=1e4))
         for schedule in ("async", "sync"):
-            sizes.clear()
+            crowds.clear()
             trace = cascade_simulate(params, 1.0, 0.01, schedule=schedule)
             assert trace.converged and trace.adoption_fraction[-1] == 1.0
-            assert 0 < len(sizes) <= len(trace.rounds) - 1
-            assert max(sizes) <= 2
+            assert 0 < len(crowds) <= 2 * (len(trace.rounds) - 1)
+            assert all(type(crowd) is float for crowd in crowds)
+
+    def test_allocates_nothing_n_sized(self):
+        # a million agents in well under the 8 bytes apiece an array of them
+        # would take; the game never swaps, whose random order is N-sized
+        params = make_params(**dict(BENCH_CASCADE, N=10**6, M=1e4))
+        for schedule in ("async", "sync"):
+            tracemalloc.start()
+            try:
+                trace = cascade_simulate(params, 1.0, 0.01, schedule=schedule)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert trace.adoption_fraction == [0.01, 1.0, 1.0]
+            assert peak < 64 * 1024
+
+    def test_a_trillion_agents(self):
+        # kappa M^2 = 100 as at N = 100
+        params = make_params(**dict(BENCH_CASCADE, N=10**12, M=1e7))
+        for schedule in ("async", "sync"):
+            trace = cascade_simulate(params, 1.0, 0.01, schedule=schedule)
+            assert trace.adoption_fraction == [0.01, 1.0, 1.0]
+            assert trace.rounds == [10**10, 10**12, 10**12]
 
 
 def _response_table(params, sigma_L):
@@ -467,6 +492,19 @@ def _table_cascade(params, sigma_L, seed_fraction, schedule, rng_seed,
             break
     return (rounds, [float(f) for f in fractions], converged,
             float(M * M * states.mean()))
+
+
+def _counts(rounds, schedule):
+    """The count at M per entry of a reference run, after checking that
+    every state is the seeded prefix, unanimous, or (sync) the seed's
+    complement, so that its count is the whole state."""
+    seed = rounds[0] > 0
+    k = np.count_nonzero(seed)
+    assert seed[:k].all() and not seed[k:].any()
+    for state in (r > 0 for r in rounds):
+        assert (np.array_equal(state, seed) or state.all() or not state.any()
+                or (schedule == "sync" and np.array_equal(state, ~seed)))
+    return [np.count_nonzero(r) for r in rounds]
 
 
 def _mean_other_deviation(states, i, M):
@@ -549,9 +587,34 @@ class TestCascadeEquivalence:
             for seeded in (k - 2, k, k + 1):
                 yield params, 0.0, seeded / n
 
-    def test_matches_per_agent_loop(self):
+    def _knife_edge_cases(self):
+        # the gap at a random count j of others at M is placed at
+        # +-INDIFFERENCE_TOL, where the last bit of the pressure or the
+        # abstain value decides the round, and the seed reads it in round one
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            conventions = ModelConventions(
+                c_g=10 ** rng.uniform(-2, 2), c_p=10 ** rng.uniform(-2, 2),
+                privacy_exponent=float(rng.choice([0.5, 1.0])))
+            params = GameParams(
+                A_L=2.0, C_L=1.0, A_S=10 ** rng.uniform(-3, 3), P_S=1.0,
+                C_S=float(rng.choice([0.0, 10 ** rng.uniform(-6, 2)])),
+                rho=10 ** rng.uniform(-2, 2), N=int(rng.integers(1, 201)),
+                M=10 ** rng.uniform(-3, 4), conventions=conventions)
+            n, M = params.N, params.M
+            sigma_L = rng.uniform(0.0, M)
+            j = int(rng.integers(0, n))
+            crowd = min(M, math.sqrt(M * M * j / max(n - 1, 1)))
+            gap = float(rng.choice([-INDIFFERENCE_TOL, INDIFFERENCE_TOL]))
+            P_S = ((abstain_value(params, sigma_L, crowd) + gap)
+                   / privacy_pressure(params, sigma_L))
+            if P_S > 0:
+                yield (dataclasses.replace(params, P_S=P_S), sigma_L,
+                       (j + int(rng.integers(0, 2))) / n)
+
+    def _compare_with_per_agent_loop(self, cases):
         compared = 0
-        for params, sigma_L, fraction in self._cases():
+        for params, sigma_L, fraction in cases:
             for schedule, max_rounds in itertools.product(("async", "sync"),
                                                           (1, 2, 30)):
                 args = (params, sigma_L, fraction, schedule, 7, max_rounds)
@@ -564,31 +627,58 @@ class TestCascadeEquivalence:
                     assert math.sqrt(M * M * (n - 1) / (n - 1)) > M
                     continue
                 rounds, fractions, converged, mean_variance = want
-                assert len(trace.rounds) == len(rounds)
-                assert all(np.array_equal(a, b)
-                           for a, b in zip(trace.rounds, rounds))
+                assert trace.rounds == _counts(rounds, schedule)
                 assert trace.adoption_fraction == fractions
                 assert trace.converged == converged
                 assert trace.final_mean_variance == mean_variance
                 compared += 1
-        assert compared >= 800
+        return compared
+
+    def test_matches_per_agent_loop(self):
+        assert self._compare_with_per_agent_loop(self._cases()) >= 800
+
+    def test_knife_edge_games_match_per_agent_loop(self):
+        compared = self._compare_with_per_agent_loop(self._knife_edge_cases())
+        assert compared >= 1500
+
+    def test_decides_as_best_response_at_the_tolerance(self):
+        # the gap of the agent at 0 in round one is within rounding of
+        # INDIFFERENCE_TOL: numpy's exp and math.exp round the abstain
+        # value 1 ulp apart there, and best_response reads it on floats
+        conventions = ModelConventions(c_g=0.19109957881867867,
+                                       c_p=1.4469849506431132,
+                                       privacy_exponent=0.5)
+        params = GameParams(A_L=2.0, C_L=0.5, A_S=0.8350975843875466,
+                            P_S=0.8350962625252973, C_S=0.0,
+                            rho=4.15598797436479, N=3,
+                            M=0.03536300231917791, conventions=conventions)
+        args = (params, 0.003560488478980799, 1 / 3, "sync", 0, 1)
+        trace = cascade_simulate(*args)
+        assert trace.adoption_fraction == [1 / 3, 0.0]
+        assert trace.adoption_fraction == _reference_cascade(*args)[1]
 
     def test_full_adoption_where_the_root_rounds_above_M(self):
-        # sqrt(0.3^2 * 3 / 3) = 0.30000000000000004 > M
+        # sqrt(0.3^2 * 3 / 3) = 0.30000000000000004 > M: seeded at 0, the
+        # agents at M read it in round two; seeded at 3, the agent at 0
+        # reads it in round one
         params = make_params(A_S=1.0, P_S=4.0, C_S=1.0, N=4, M=0.3)
-        for schedule in ("async", "sync"):
-            trace = cascade_simulate(params, 0.0, 0.0, schedule=schedule)
+        for schedule, fraction in itertools.product(("async", "sync"),
+                                                    (0.0, 0.75)):
+            trace = cascade_simulate(params, 0.0, fraction, schedule=schedule)
             assert trace.converged and trace.adoption_fraction[-1] == 1.0
 
     def test_full_adoption_where_the_crowd_overflows(self):
-        # M^2 j leaves the float range at j >= 1: the crowd is M, with no
-        # numpy overflow warning
+        # M^2 j leaves the float range at j = 2, which the agents at M read
+        # seeded at 0 and the agent at 0 reads seeded at 2: the crowd is M,
+        # with no overflow warning
         params = make_params(A_S=1.0, P_S=4.0, C_S=1.0, N=3, M=1.3e154)
-        for schedule in ("async", "sync"):
+        for schedule, fraction in itertools.product(("async", "sync"),
+                                                    (0.0, 2 / 3)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                trace = cascade_simulate(params, 0.0, 0.0, schedule=schedule)
-            assert trace.adoption_fraction == [0.0, 1.0, 1.0]
+                trace = cascade_simulate(params, 0.0, fraction,
+                                         schedule=schedule)
+            assert trace.adoption_fraction == [fraction, 1.0, 1.0]
             assert trace.converged
             assert trace.final_mean_variance == 1.3e154 * 1.3e154
 
