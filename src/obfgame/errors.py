@@ -38,7 +38,7 @@ class InfeasiblePromiseError(ObfGameError, ValueError):
 
 
 class NoCrossingError(ObfGameError):
-    """No sign change of pressure minus abstain-value was found on (0, M].
+    """Pressure minus abstain-value has no real root on (0, M].
 
     ``dominant`` names the side that dominates throughout: "pressure" when
     users always prefer obfuscating, "abstain" when they never do.

@@ -188,9 +188,12 @@ def _accuracy(params: GameParams, v_L, v_bar_other, v_S):
 
 def _privacy(params: GameParams, v_L, v_S):
     cv = params.conventions
+    total = v_L + v_S
+    if isinstance(total, float) and total == 0.0:
+        return math.inf
     try:
-        return cv.c_p * (v_L + v_S)**-cv.privacy_exponent
-    except (ZeroDivisionError, OverflowError):  # total 0 or below ~1e-308
+        return cv.c_p * total**-cv.privacy_exponent
+    except OverflowError:  # a total below ~1e-308
         return math.inf
 
 

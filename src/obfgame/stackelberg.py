@@ -147,11 +147,12 @@ def tau_hat(params: GameParams) -> float:
 
 def tau_exact(params: GameParams) -> float:
     """Smallest promise in (0, M] at which privacy pressure has fallen to the
-    abstain value: the first root of threshold_crossings, whose proved steps
-    leave no earlier root.  The search stops at that root.
+    abstain value: the first real root of threshold_crossings, located to
+    ROOT_BISECTION_WIDTH of its size at its deterred end.  The search stops
+    at that root and takes the laws at no piece end past it.
 
-    Raises NoCrossingError when the search finds no sign change, reporting
-    which side dominates throughout.
+    Raises NoCrossingError when the gap has no real root on (0, M],
+    reporting which side dominates throughout.
     """
     root = next(_crossings(params), None)
     if root is None:

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import inspect
 import math
 import os
 import subprocess
@@ -197,18 +196,25 @@ class TestTauExact:
         assert gamma(params, report.thresholds.tau_exact) == 0.0
 
     def test_search_stops_at_the_first_root(self, monkeypatch):
-        # README's example has one crossing: tau_exact runs no step past its
-        # bracket, while threshold_crossings steps on to prove [root, M]
-        calls = []
-        advance = crossings._advance
-        monkeypatch.setattr(crossings, "_advance",
-                            lambda *args: calls.append(args) or advance(*args))
+        # README's example has one crossing: tau_exact refines one bracket
+        # and takes the laws at no piece end past it, while
+        # threshold_crossings walks on to M
+        brackets, variances = [], []
+        refine, abstain = crossings._refine, crossings._abstain
+        monkeypatch.setattr(crossings, "_refine", lambda *args: (
+            brackets.append(args[1:3]) or refine(*args)))
+        monkeypatch.setattr(crossings, "_abstain", lambda p, v, crowd: (
+            variances.append(v) or abstain(p, v, crowd)))
         params = make_params()
-        assert tau_exact(params) == 0.8515356605619542
-        assert len(calls) == 1
-        calls.clear()
-        assert threshold_crossings(params) == [0.8515356605619542]
-        assert len(calls) == 2
+        assert tau_exact(params) == 0.8515356605619541
+        [(lo, hi)] = brackets
+        assert lo < 0.8515356605619541 <= hi < params.M
+        assert max(variances) == hi * hi
+        brackets.clear()
+        variances.clear()
+        assert threshold_crossings(params) == [0.8515356605619541]
+        assert brackets == [(lo, hi)]
+        assert max(variances) == params.M * params.M
 
     def test_no_crossing_in_status_quo(self):
         with pytest.raises(NoCrossingError) as info:
@@ -274,64 +280,35 @@ class TestTauExact:
         assert _verify_leader_optimality(params, report) == (
             roots[0], induced_leader_utility(params, roots[0]))
 
-    @pytest.mark.parametrize("cap, value", [("MAX_STRETCHES", 1),
-                                            ("STRETCH_STEPS", 2)])
-    def test_capped_steps_leave_the_roots_to_bisection(self, monkeypatch,
-                                                       cap, value):
-        # one stretch leaves [first bracket, M] to the closing bisection,
-        # and two steps a stretch stall into bisection of the rest: either
-        # way the same roots, bit for bit
-        params = GameParams(**self.FAR_BELOW_M)
-        roots = threshold_crossings(params)
-        monkeypatch.setattr(crossings, cap, value)
-        assert threshold_crossings(params) == roots
+    def test_search_at_the_ends_of_the_inverse_laws(self):
+        for overrides, count in [
+                # pressure never falls to an abstain value of 0 (C_S = 0),
+                # yet it crosses the decaying accuracy term twice
+                (dict(C_S=0.0), 2),
+                # the inverse privacy law leaves the float range: pressure
+                # stays at P_S on (0, M] and dominates throughout
+                (dict(conventions=ModelConventions(
+                    c_p=1e300, privacy_exponent=0.5)), 0)]:
+            params = make_params(**overrides)
+            roots = threshold_crossings(params)
+            assert len(roots) == count
+            _, brackets, dense_roots = dense_crossings(params)
+            assert len(brackets) == count
+            for root, (lo, hi) in zip(roots, brackets):
+                assert lo <= root <= hi
+                assert gamma(params, root) == 0.0
+            assert roots == pytest.approx(dense_roots, rel=1e-11)
+            assert_tau_exact_is_first(params, roots)
 
-    def test_reach_at_the_ends_of_the_inverse_laws(self):
-        params = make_params()
-        # the pressure starts at its floor: no step can be proved
-        assert crossings._reach(
-            params, (params.P_S, math.nextafter(params.P_S, 0.0)), True) == 0.0
-        # pressure never falls to an abstain value of 0 (C_S = 0)
-        free = make_params(C_S=0.0)
-        assert crossings._reach(free, (5e-324, 0.0), True) == math.inf
-        # the inverse privacy law leaves the float range
-        steep = make_params(conventions=ModelConventions(
-            c_p=1e300, privacy_exponent=0.5))
-        assert crossings._reach(steep, (2.0, 1.0), True) == math.inf
-        # the abstain value never falls below C_S to a pressure under it
-        assert crossings._reach(params, (0.5, 1.2), False) == math.inf
-
-    def test_step_halved_where_the_bound_fails(self):
-        # a step to the reach of the inverse laws lands on the same side but
-        # the cell bound cannot prove it, so _advance halves it; a line
-        # tracer counts the halving
+    def test_three_crossings_off_the_default_conventions(self):
+        # c_g and c_p other than 1, with M far above the last crossing
         params = GameParams(
             A_L=2.0, C_L=0.1, A_S=0.03953496677558228,
             P_S=167.36686643495943, C_S=7.875144371106212e-13,
             rho=0.649560569641872, N=99197, M=16866774967.877542,
             conventions=ModelConventions(c_g=0.30404262940022936,
                                          c_p=0.010302085916093153))
-        lines, start = inspect.getsourcelines(crossings._advance)
-        halving = start + next(i for i, line in enumerate(lines)
-                               if "share *= 0.5" in line)
-        hits = []
-
-        def trace(frame, event, arg):
-            if frame.f_code is not crossings._advance.__code__:
-                return None
-
-            def line(frame, event, arg):
-                if event == "line" and frame.f_lineno == halving:
-                    hits.append(frame.f_locals["share"])
-                return line
-            return line
-
-        sys.settrace(trace)
-        try:
-            roots = threshold_crossings(params)
-        finally:
-            sys.settrace(None)
-        assert hits
+        roots = threshold_crossings(params)
         # 50-digit mpmath roots; the third is 1479680.887..., which the
         # computed gap misses by 0.14% as 1 - exp(-eps) cancels there
         assert len(roots) == 3
@@ -343,11 +320,48 @@ class TestTauExact:
             assert lo <= root <= hi
             assert gamma(params, root) == 0.0
 
+    def test_roots_far_below_the_bracket_width(self):
+        # the crowd obfuscates on about (1.5e-84, 1.5e-35): a bracket stops
+        # at ROOT_BISECTION_WIDTH of its upper end, not at that width itself,
+        # so neither root is a bracket's end at 0 or at a piece end
+        params = GameParams(
+            A_L=1.0, C_L=0.1, A_S=40.34196025751622, P_S=33.07525197595392,
+            C_S=5.6647863144135184e-14, rho=2.203626325696507e-58, N=1219,
+            M=1.8296405518331405e+24,
+            conventions=ModelConventions(c_g=5.43238039850177e+54,
+                                         c_p=4.080224699750741e-85))
+        roots = threshold_crossings(params)
+        assert len(roots) == 2
+        assert all(0.0 < root <= params.M for root in roots)
+        assert all(gamma(params, root) == 0.0 for root in roots)
+        # the gap obfuscates within the width of each root, toward the other
+        width = crossings.ROOT_BISECTION_WIDTH
+        first, second = roots
+        assert _pressure_gap(params, (first * (1.0 + width))**2, 0.0) > 0.0
+        assert _pressure_gap(params, (second * (1.0 - width))**2, 0.0) > 0.0
+        # 60-digit mpmath roots; 1 - exp(-eps) cancels at the second, where
+        # eps ~ 2e-15 and the computed gap changes sign 0.24% early
+        assert first == pytest.approx(1.4710985629089054e-84, rel=1e-11)
+        assert second == pytest.approx(1.5434830156456598e-35, rel=3e-3)
+        assert_tau_exact_is_first(params, roots)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-100, 1e100])
+    def test_search_is_scale_free(self, scale):
+        # sigma -> scale sigma with c_g / scale^2 and c_p scale^2 leaves the
+        # gap's shape alone: README's crossing, scaled, to the dense scan's
+        params = make_params(M=50.0 * scale, conventions=ModelConventions(
+            c_g=scale**-2, c_p=scale**2))
+        roots = threshold_crossings(params)
+        _, brackets, dense_roots = dense_crossings(params)
+        assert len(roots) == len(brackets) == 1
+        assert roots == pytest.approx(dense_roots, rel=1e-11)
+        assert roots[0] / scale == pytest.approx(0.8515356605619541, rel=1e-11)
+        assert gamma(params, roots[0]) == 0.0
+
     def test_crossings_where_pressure_falls_in_steps(self):
         # near the last two crossings 1 - exp(-eps) cancels, so the computed
-        # pressure falls in steps of ~1e-6 of itself and proved steps stall;
-        # a search without a cap on its steps never ended here, so it runs
-        # in a subprocess
+        # pressure falls in steps of ~1e-6 of itself; a search that stalled
+        # there never ended, so it runs in a subprocess
         point = dict(A_L=21.318089760080912, C_L=0.18241878032329456,
                      A_S=6.067920942937873, P_S=11.212778807660674,
                      C_S=3.522354149965924e-10, rho=89.24757214425966,
@@ -367,6 +381,49 @@ class TestTauExact:
         assert roots[1:] == pytest.approx(
             [97472.69157197922, 178418.59612401172], rel=1e-5)
         assert crowds == (0.0, 0.0, 0.0)
+
+
+class TestCriticalPoints:
+    """crossings._critical_points(a, c, e, top): the variances below top
+    where v^(e+1) d' = a v^(e+1) - (e + 1) v^e + c e vanishes."""
+
+    @pytest.mark.parametrize("e", [0.5, 1.0])
+    def test_each_point_is_a_root(self, e):
+        rng = np.random.default_rng(17)
+        for a, c in (10.0 ** rng.uniform(-15.0, 8.0, (2000, 2))).tolist():
+            for v in crossings._critical_points(a, c, e, math.inf):
+                terms = (a * v**(e + 1), (e + 1) * v**e, c * e)
+                assert abs(terms[0] - terms[1] + terms[2]) <= 1e-14 * max(
+                    terms)
+
+    @pytest.mark.parametrize("a, c", [(1.0, 1.0), (0.5, 3.0), (1e3, 1e3)])
+    def test_none_where_the_quadratic_has_no_roots(self, a, c):
+        assert crossings._critical_points(a, c, 1.0, math.inf) == []
+
+    def test_cubic_points_follow_its_discriminant(self):
+        # a t^3 - 1.5 t + 0.5 c has discriminant 13.5 a - 6.75 a^2 c^2: two
+        # positive roots where it is positive, none where it is negative
+        rng = np.random.default_rng(19)
+        counts = []
+        for a, c in (10.0 ** rng.uniform(-8.0, 4.0, (2000, 2))).tolist():
+            discriminant = 13.5 * a - 6.75 * a * a * c * c
+            points = crossings._critical_points(a, c, 0.5, math.inf)
+            assert len(points) == (2 if discriminant > 0 else 0)
+            assert points == sorted(points)
+            counts.append(len(points))
+        assert 0 in counts and 2 in counts
+
+    @pytest.mark.parametrize("e, low", [(1.0, 0.5), (0.5, 1.0 / 9.0)])
+    @pytest.mark.parametrize("a", [1e-10, 1e-310])
+    def test_tiny_a_keeps_only_points_below_top(self, e, low, a):
+        # the larger point, ~2/a, lies beyond M^2 = 2500, or beyond the float
+        # range at a = 1e-310; the smaller tends to c/2 (e = 1) or (c/3)^2
+        [point] = crossings._critical_points(a, 1.0, e, 2500.0)
+        assert point == pytest.approx(low, rel=1e-8)
+
+    def test_a_point_beyond_the_float_range_is_dropped(self):
+        # a c^2 = 0.1 < 2, but the smaller point (c/3)^2 ~ 1e319 overflows
+        assert crossings._critical_points(1e-321, 1e160, 0.5, 2500.0) == []
 
 
 class TestThresholdsRecord:
@@ -878,16 +935,21 @@ def wide_params(draw):
     """Log-uniform draws over wide ranges, with a surplus (P_S - C_S > A_S):
     A_S, A_L in [1e-2, 1e2], C_S in [1e-18, 1e2], P_S = (A_S + C_S)
     [1, 30], C_L in [1e-3, 1e2], rho in [1e-2, 1e2], N in [1, 1e5] and M in
-    [0.1, 1e12], where M can lie far above every crossing."""
+    [0.1, 1e12], where M can lie far above every crossing; c_g and c_p in
+    [1e-3, 1e3], and privacy_exponent 0.5 or 1."""
     def log_uniform(low, high):
         return 10.0 ** draw(st.floats(math.log10(low), math.log10(high)))
 
     A_S, C_S = log_uniform(1e-2, 1e2), log_uniform(1e-18, 1e2)
     P_S = (A_S + C_S) * log_uniform(1.0, 30.0)
     assume(P_S - C_S > A_S)
+    conventions = ModelConventions(
+        c_g=log_uniform(1e-3, 1e3), c_p=log_uniform(1e-3, 1e3),
+        privacy_exponent=draw(st.sampled_from([0.5, 1.0])))
     return GameParams(A_L=log_uniform(1e-2, 1e2), C_L=log_uniform(1e-3, 1e2),
                       A_S=A_S, P_S=P_S, C_S=C_S, rho=log_uniform(1e-2, 1e2),
-                      N=int(log_uniform(1.0, 1e5)), M=log_uniform(0.1, 1e12))
+                      N=int(log_uniform(1.0, 1e5)), M=log_uniform(0.1, 1e12),
+                      conventions=conventions)
 
 
 def dense_crossings(params, points=4001):
