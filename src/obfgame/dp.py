@@ -69,9 +69,11 @@ class DpScalingReport:
 
 def gaussian_epsilon(spec: DpSpec, total_std: float) -> EpsilonResult:
     """Classical Gaussian-mechanism calibration
-    epsilon = sensitivity * sqrt(2 ln(1.25/delta)) / total_std."""
-    if total_std < 0:
-        raise ValueError("total_std must be non-negative")
+    epsilon = sensitivity * sqrt(2 ln(1.25/delta)) / total_std.  Raises
+    ValueError unless total_std is finite and non-negative, naming it."""
+    if not (math.isfinite(total_std) and total_std >= 0):
+        raise ValueError(f"total_std must be finite and non-negative, "
+                         f"got {total_std}")
     if total_std == 0:
         raise InfiniteLeakageError(
             "zero total noise provides no differential privacy")

@@ -5,9 +5,6 @@ import itertools
 import json
 import lzma
 import math
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -16,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import obfgame
 from obfgame import (
     GameParams,
     InfeasiblePromiseError,
@@ -223,15 +219,39 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith("regime=FullObfuscation")
 
-    def test_row1_solve_csv(self, tmp_path):
-        text = ROW3_GAME.replace("game.A_S = 0.5", "game.A_S = 1.0").replace(
-            "game.P_S = 2.0", "game.P_S = 1.5")
-        cfg = write_config(tmp_path, text)
+    @pytest.mark.parametrize("changes, start, tau_exact", [
+        ({"game.A_S": "1.0", "game.P_S": "1.5"}, "StatusQuo,0.0,0.0,2.0,", ""),
+        # privacy_exponent = 0.5 cuts the search at the roots of a cubic
+        ({"conventions.privacy_exponent": "0.5"},
+         "PrivacyPromise,1.2011224087864498,0.0,", "0.7240715893579815"),
+        # M = 2.9e11 lies far above three crossings (~2.1146, ~602.15 and
+        # ~46178.1): tau_exact is the first
+        ({"game.A_L": "0.04214984326721766",
+          "game.C_L": "0.0016299681700637691",
+          "game.A_S": "0.06159414423947732",
+          "game.P_S": "0.30732290332814677",
+          "game.C_S": "1.4411948858553079e-10",
+          "game.rho": "29.588035814084858", "game.N": "37",
+          "game.M": "290116576066.50555"},
+         "FullObfuscation,0.0,290116576066.50555,", "2.114604092262673"),
+        # c_g kappa = 1e307 is a float but c_g kappa M^2 is not: the
+        # accuracy level overflows to inf, which the laws read as
+        # exp(-inf) = 0, with no numpy warning
+        ({"game.rho": "1e-152", "conventions.c_g": "1e5"},
+         "FullObfuscation,0.0,50.0,", "1.2011224087864498"),
+    ], ids=["row1", "half-exponent", "far-crossings", "overflowing-accuracy"])
+    def test_solve_csv(self, tmp_path, changes, start, tau_exact):
+        entries = dict(line.split(" = ") for line in ROW3_GAME.splitlines())
+        entries.update(changes)
+        cfg = write_config(tmp_path, "".join(
+            f"{key} = {value}\n" for key, value in entries.items()))
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        lines = (out / "solve.csv").read_text().splitlines()
-        assert lines[0].startswith("regime,sigma_L_dagger")
-        assert lines[1].startswith("StatusQuo,0.0,0.0,2.0")
+        header, row = (out / "solve.csv").read_text().splitlines()
+        assert header == ("regime,sigma_L_dagger,sigma_bar_dagger,U_L,U_S,"
+                          "tau_exact,tau_hat,kappa")
+        assert row.startswith(start)
+        assert row.split(",")[5] == tau_exact
 
     def test_convention_mismatch_exits_1(self, tmp_path, capsys):
         # with c_p = 2 the closed-form promise tau_hat does not deter
@@ -507,6 +527,7 @@ class TestBrCurveCommand:
         out = tmp_path / "out"
         assert main(["br-curve", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "br_curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 101  # br_curve.n_points' default
         allowed = {"0.0", "50.0", "indifferent"}
         assert {r.split(",")[1] for r in rows} <= allowed
 
@@ -534,8 +555,16 @@ class TestCascadeCommand:
         "cascade.sigma_L = 1.0\ncascade.seed_fraction = 0.01\n"
         "cascade.max_rounds = 20\nrng_seed = 1\n")
 
-    def test_trace_export(self, tmp_path):
-        cfg = write_config(tmp_path, self.CASCADE)
+    @pytest.mark.parametrize("text", [
+        CASCADE,
+        # the accuracy level of a crowd near M overflows to inf (see
+        # test_solve_csv)
+        ROW3_GAME.replace("game.rho = 1.0", "game.rho = 1e-152")
+        + "conventions.c_g = 1e5\ncascade.sigma_L = 1.0\n"
+          "cascade.seed_fraction = 0.01\n",
+    ], ids=["bistable", "overflowing-accuracy"])
+    def test_trace_export(self, tmp_path, text):
+        cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["cascade", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "cascade.csv").read_text().splitlines()
@@ -672,20 +701,16 @@ class TestCommandLine:
             assert error.startswith("obfgame: error: ")
             assert captured.out == ""
 
-    def test_cascade_imports_no_argparse(self, tmp_path):
+    def test_cascade_imports_no_argparse(self, tmp_path, run_python):
         # a fresh interpreter: the claimed start-up saving is argparse's
         cfg = write_config(tmp_path, TestCascadeCommand.CASCADE)
-        src = os.path.dirname(os.path.dirname(obfgame.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = (
             "import sys\n"
             "from obfgame.cli import main\n"
             f"assert main(['cascade', '--config', {cfg!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "assert 'argparse' not in sys.modules, 'argparse imported'\n")
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_python("-c", script, timeout=60)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "cascade.csv").is_file()
 
@@ -853,7 +878,8 @@ class TestValidateCommand:
         ("experiment.erm.levels = 1, 1, 1, 1",
          "all noise levels share the same variance aggregate"),
     ])
-    def test_bad_experiment_value_exits_2(self, tmp_path, entry, named):
+    def test_bad_experiment_value_exits_2(self, tmp_path, run_python,
+                                          entry, named):
         # a subprocess keeps a run that never ends from hanging the suite
         cfg = write_config(tmp_path, (
             "experiment.erm.n = 100\n"
@@ -861,13 +887,8 @@ class TestValidateCommand:
             "experiment.erm.n_ref = 2000\n"
             "experiment.erm.n_eval = 1000\n"
             f"{entry}\n"))
-        src = os.path.dirname(os.path.dirname(obfgame.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "obfgame.cli", "validate", "--config", cfg,
-             "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=60)
+        done = run_python("-m", "obfgame.cli", "validate", "--config", cfg,
+                          "--out", str(tmp_path / "out"), timeout=60)
         assert done.returncode == 2, done.stderr
         assert f"config error: {named}" in done.stderr
 

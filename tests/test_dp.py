@@ -24,6 +24,11 @@ class TestGaussianEpsilon:
         with pytest.raises(InfiniteLeakageError):
             gaussian_epsilon(DpSpec(delta=1e-5), 0.0)
 
+    @pytest.mark.parametrize("total_std", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_noise_is_an_error(self, total_std):
+        with pytest.raises(ValueError, match=f"got {total_std}$"):
+            gaussian_epsilon(DpSpec(delta=1e-5), total_std)
+
     def test_validity_flag_tracks_unit_threshold(self):
         spec = DpSpec(delta=1e-5, sensitivity=1.0)
         constant = math.sqrt(2.0 * math.log(1.25e5))

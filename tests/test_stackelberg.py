@@ -1,16 +1,12 @@
 import ast
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import obfgame
 from obfgame import (
     EquilibriumRegime,
     GameParams,
@@ -231,7 +227,7 @@ class TestTauExact:
         assert crossings == sorted(crossings)
         assert tau_exact(params) == crossings[0]
 
-    def test_crossing_where_an_ulp_exceeds_the_width(self):
+    def test_crossing_where_an_ulp_exceeds_the_width(self, run_python):
         # above sigma ~ 8192 one ulp is wider than ROOT_BISECTION_WIDTH, so
         # refining the third bracket ends only when no float lies inside it;
         # a subprocess keeps a refinement that never ends from hanging the
@@ -243,11 +239,7 @@ class TestTauExact:
             " N=1000, M=20000)\n"
             "print([(r, privacy_pressure(p, r) - abstain_value(p, r, 0.0))"
             " for r in threshold_crossings(p)])\n")
-        src = os.path.dirname(os.path.dirname(obfgame.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_python("-c", script, timeout=60)
         assert done.returncode == 0, done.stderr
         roots = ast.literal_eval(done.stdout)
         assert [r for r, _ in roots] == pytest.approx(
@@ -358,7 +350,7 @@ class TestTauExact:
         assert roots[0] / scale == pytest.approx(0.8515356605619541, rel=1e-11)
         assert gamma(params, roots[0]) == 0.0
 
-    def test_crossings_where_pressure_falls_in_steps(self):
+    def test_crossings_where_pressure_falls_in_steps(self, run_python):
         # near the last two crossings 1 - exp(-eps) cancels, so the computed
         # pressure falls in steps of ~1e-6 of itself; a search that stalled
         # there never ended, so it runs in a subprocess
@@ -369,11 +361,7 @@ class TestTauExact:
         script = ("from obfgame import GameParams, gamma, threshold_crossings\n"
                   f"p = GameParams(**{point!r})\n"
                   "print([(r, gamma(p, r)) for r in threshold_crossings(p)])\n")
-        src = os.path.dirname(os.path.dirname(obfgame.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_python("-c", script, timeout=60)
         assert done.returncode == 0, done.stderr
         roots, crowds = zip(*ast.literal_eval(done.stdout))
         # 50-digit mpmath roots; the last two only to the cancellation
