@@ -87,30 +87,60 @@ def run_solve(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-# the regime cell of a sweep row by index: EquilibriumRegime's members in
-# order, then Infeasible (a promise above M)
-REGIME_CELLS = np.array(
-    [regime.value for regime in stackelberg.EquilibriumRegime]
-    + ["Infeasible"], dtype=object)
-_FULL, _PROMISE, _BOUNDARY, _INFEASIBLE = 1, 2, 3, 4
+# the regime, sigma_L and sigma_bar cells of a sweep row by its kind, each
+# after its comma: EquilibriumRegime's members in order, then Infeasible (a
+# promise above M).  A promise is tau_hat and full obfuscation's crowd is M
+# (None here: those are the row's own cells), and Boundary and Infeasible
+# rows carry no equilibrium.
+KIND_CELLS = np.array([
+    [f",{regime.value}" for regime in stackelberg.EquilibriumRegime]
+    + [",Infeasible"],
+    [",0.0", ",0.0", None, ",nan", ",nan"],
+    [",0.0", None, ",0.0", ",nan", ",nan"]], dtype=object)
+_FULL, _PROMISE, _INFEASIBLE = 1, 2, 4
 SWEEP_CHUNK_ROWS = 1 << 16
 
 
-def _reprs(values, nan: str = "nan") -> np.ndarray:
-    """The CSV cells of a float or of an array of floats, as an object array
-    of the same shape; nan is written as ``nan``."""
-    values = np.asarray(values, dtype=float)
-    cells = [repr(v) if v == v else nan for v in values.ravel().tolist()]
-    return np.array(cells, dtype=object).reshape(values.shape)
+def _texts(values, sep: str, nan: str = "nan") -> np.ndarray:
+    """The CSV cells of a 1-D float array, each after its separator, as an
+    object array; nan is written as ``nan``."""
+    return np.array([sep + (repr(v) if v == v else nan)
+                     for v in values.tolist()], dtype=object)
+
+
+def _cells(values, sep: str = ",", nan: str = "nan") -> np.ndarray:
+    """_texts of a chunk's values, each distinct value formatted once: keyed
+    on its bits, so that -0.0 keeps its sign.  The values are 1-D, as the
+    shape of np.unique's inverse of an n-D array differs between numpy
+    versions."""
+    bits, rows = np.unique(values.view(np.int64), return_inverse=True)
+    return _texts(bits.view(float), sep, nan)[rows]
+
+
+def _grid_cells(grid, stride: int, start: int, stop: int,
+                sep: str = ",") -> np.ndarray:
+    """The cells of a swept axis, or of one value, on rows start to stop:
+    row r takes grid[r // stride % grid.size], and each point of the grid
+    the rows reach is formatted once."""
+    steps = np.arange(start, stop) // stride - start // stride
+    reached = min(grid.size, steps[-1] + 1)
+    points = grid[(start // stride + np.arange(reached)) % grid.size]
+    return _texts(points, sep)[steps % reached]
 
 
 def run_sweep(config: RunConfig, out_dir: Path) -> int:
+    """Classify the grid as columns, then write sweep.csv SWEEP_CHUNK_ROWS
+    rows at a time.  A chunk's cells are an object table, one line per row
+    and each cell after its separator (a row's first after its newline), so
+    that the chunk is written with one join.  The chunk formats each swept
+    value and M value it reaches, and each distinct U_L and tau_hat value
+    among its rows, once; the regime, sigma_L and sigma_bar cells come from
+    KIND_CELLS by row kind.  No string outlives its chunk."""
     grids = config.sweep_grids()
     names = list(grids)
     base = {name: config.require(f"game.{name}")
             for name in GAME_FIELDS if name not in names}
     conventions = config.conventions()
-    values = {name: grid.tolist() for name, grid in grids.items()}
     # one array axis per swept field, in row order
     columns = {**base, **dict(zip(names, np.ix_(*grids.values())))}
     try:
@@ -118,7 +148,8 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
             **columns, conventions=conventions)
     except ValueError:
         # name the first point, in grid order, that GameParams refuses
-        for point in itertools.product(*values.values()):
+        values = (grid.tolist() for grid in grids.values())
+        for point in itertools.product(*values):
             point = dict(zip(names, point))
             try:
                 GameParams(conventions=conventions, **base, **point)
@@ -126,26 +157,36 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
                 raise ConfigError(f"sweep point {point}: {exc}")
         raise
 
-    tau_cells = _reprs(tau_h, nan="")
-    # the table: a promise is tau_hat, full obfuscation's crowd is M, and
-    # Boundary and Infeasible rows carry no equilibrium
-    unsolved = np.where(kind < _BOUNDARY, "0.0", "nan")
-    sigma_L = np.where(kind == _PROMISE, tau_cells, unsolved)
-    sigma_bar = np.where(kind == _FULL, _reprs(columns["M"]), unsolved)
-    cells = [np.broadcast_to(column, kind.shape).ravel().tolist()
-             for column in (REGIME_CELLS[kind], sigma_L, sigma_bar,
-                            _reprs(utility), tau_cells)]
-    prefixes = map(",".join, itertools.product(
-        *([repr(value) for value in grid] for grid in values.values())))
-    rows = map(",".join, zip(prefixes, *cells))
+    # each swept field's grid with the rows between its steps; M's grid is
+    # its one value where it is not swept
+    axes = {name: (grids[name], math.prod(kind.shape[i + 1:]))
+            for i, name in enumerate(names)}
+    m_grid, m_stride = (axes["M"] if "M" in axes
+                        else (np.array([base["M"]], dtype=float), 1))
+    tau_values = np.broadcast_to(tau_h, kind.shape).flat
     path = out_dir / "sweep.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(names + ["regime", "sigma_L_dagger",
-                                       "sigma_bar_dagger", "U_L", "tau_hat"])
-                     + "\n")
-        while chunk := list(itertools.islice(rows, SWEEP_CHUNK_ROWS)):
-            handle.write("\n".join(chunk) + "\n")
+                                       "sigma_bar_dagger", "U_L", "tau_hat"]))
+        for start in range(0, kind.size, SWEEP_CHUNK_ROWS):
+            stop = min(start + SWEEP_CHUNK_ROWS, kind.size)
+            kinds = kind.flat[start:stop]
+            tau_cells = _cells(tau_values[start:stop], nan="")
+            regime, sigma_L, sigma_bar = KIND_CELLS[:, kinds]
+            table = np.empty((stop - start, len(names) + 5), dtype=object)
+            for i, (grid, stride) in enumerate(axes.values()):
+                table[:, i] = _grid_cells(grid, stride, start, stop,
+                                          sep="," if i else "\n")
+            table[:, -5] = regime
+            table[:, -4] = np.where(kinds == _PROMISE, tau_cells, sigma_L)
+            table[:, -3] = np.where(
+                kinds == _FULL, _grid_cells(m_grid, m_stride, start, stop),
+                sigma_bar)
+            table[:, -2] = _cells(utility.flat[start:stop])
+            table[:, -1] = tau_cells
+            handle.write("".join(table.ravel().tolist()))
+        handle.write("\n")
     print(f"sweep: {kind.size} points -> {path} "
           f"({np.count_nonzero(kind == _INFEASIBLE)} infeasible)")
     return 0

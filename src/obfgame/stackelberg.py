@@ -275,7 +275,11 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
     Infeasible points).  Scalar laws run elementwise on Python numbers, each
     on the fewest fields it reads, and numpy does only +, -, *, /,
     comparisons and selections in _closed_form's order, so every value is
-    the scalar path's to the bit."""
+    the scalar path's to the bit.  The utility's retained accuracy is one
+    term per row kind, on the fields that term reads:
+    exp(-c_g kappa ((N-1)/N M^2 + M^2/N)) on FullObfuscation rows from M,
+    rho, N and c_g; exp(-c_g kappa tau_hat^2) on PrivacyPromise rows from
+    those and P_S, C_S; and 1 on the other rows."""
     _check_fields({name: np.ravel(column).tolist() for name, column in zip(
         ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "N", "M"),
         (A_L, C_L, A_S, P_S, C_S, rho, N, M))})
@@ -289,15 +293,17 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
                                                threshold)
         regime = np.where(surplus_band | kappa_band, 3, row)
         kind = np.where((regime == 2) & (tau_h > M), 4, regime)
-        # learner_utility at the equilibrium, as _accuracy orders it
-        promise = np.where(tau_h <= M, tau_h, 0.0)
-        v_L = np.where(kind == 2, promise * promise, 0.0)
-        v_bar = np.where(kind == 1, M * M, 0.0)
-        n = np.asarray(N, dtype=float)
+        # learner_utility at the equilibrium: _accuracy's terms in its order
+        # less the zero ones (adding +0.0 is exact)
+        weight = conventions.c_g * scale
+        crowd = M * M
         share = _elementwise(_others_share, N)
-        accuracy = (conventions.c_g * scale) * ((v_L + share * v_bar)
-                                                + v_bar / n)
-        utility = A_L * _elementwise(math.exp, -accuracy) - C_L * (v_L > 0)
+        full = _elementwise(math.exp, -(weight * (
+            share * crowd + crowd / np.asarray(N, dtype=float))))
+        promised = _elementwise(math.exp, -(weight * (tau_h * tau_h)))
+        retained = np.where(kind == 1, full,
+                            np.where(kind == 2, promised, 1.0))
+        utility = A_L * retained - C_L * (kind == 2)
     return (kind, np.where(np.isfinite(tau_h), tau_h, math.nan),
             np.where(kind < 3, utility, math.nan))
 

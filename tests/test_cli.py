@@ -18,6 +18,7 @@ from obfgame import (
     InfeasiblePromiseError,
     cascade_simulate,
     classify_regime,
+    cli,
     erm,
     mfg,
     tau_hat,
@@ -454,6 +455,30 @@ class TestSweepCommand:
         ref = lzma.decompress((ROOT / "bench" / "ref" / "sweep.csv.xz")
                               .read_bytes())
         assert (out / "sweep.csv").read_bytes() == ref
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 131])
+    def test_rows_cross_chunks(self, tmp_path, monkeypatch, chunk_rows):
+        # 528 rows of every kind over four axes, M among them: chunks end
+        # inside each axis's steps, and the last chunk is short
+        cfg = write_config(tmp_path, (
+            "game.A_L = 2.0\ngame.C_L = 0.5\ngame.A_S = 0.5\n"
+            "game.C_S = 1.0\n" + "".join(
+                f"sweep.{name}.min = {low!r}\nsweep.{name}.max = {high!r}\n"
+                f"sweep.{name}.steps = {steps}\n"
+                for name, low, high, steps in [
+                    ("P_S", 0.5, 3.0, 11), ("M", 0.5, 5.0, 4),
+                    ("rho", 0.25, 1.0, 4), ("N", 1, 91, 3)])))
+        assert main(["sweep", "--config", cfg,
+                     "--out", str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_ROWS", chunk_rows)
+        assert main(["sweep", "--config", cfg,
+                     "--out", str(tmp_path / "chunked")]) == 0
+        text = (tmp_path / "chunked" / "sweep.csv").read_bytes()
+        assert text == (tmp_path / "whole" / "sweep.csv").read_bytes()
+        rows, kinds = scalar_sweep_rows(parse_config(cfg))
+        assert text.decode().splitlines()[1:] == rows
+        assert kinds >= {"StatusQuo", "FullObfuscation", "PrivacyPromise",
+                         "Boundary", "Infeasible"}
 
     def test_random_grids_match_classify_regime(self):
         seen = set()

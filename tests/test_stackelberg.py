@@ -788,6 +788,20 @@ class TestClosedFormColumns:
             M=50.0)
         assert seen == {"StatusQuo", "FullObfuscation", "PrivacyPromise"}
 
+    def test_retained_accuracy_on_each_kinds_fields(self):
+        # P_S, C_L, M, rho and N on their own axes with c_g != 1: the crowd's
+        # term spans M, rho and N, the promise's P_S too, and the grid C_L
+        def axis(values, i):
+            return np.array(values).reshape([-1 if j == i else 1
+                                             for j in range(5)])
+        seen = column_labels(
+            ModelConventions(c_g=0.7), A_L=2.0, A_S=0.5, C_S=1.0,
+            P_S=axis([0.75, 1.75, 2.5, 4.0], 0),
+            C_L=axis([0.0, 0.5, 1.5], 1), M=axis([0.5, 3.0, 40.0], 2),
+            rho=axis([0.3, 1.0, 2.5], 3), N=axis([1, 7, 300], 4))
+        assert seen == {"StatusQuo", "FullObfuscation", "PrivacyPromise",
+                        "Infeasible"}
+
     def test_one_table_for_floats_and_columns(self):
         # (surplus, A_S, kappa, threshold) -> (row, surplus band, kappa
         # band): status quo, a surplus tie, a promise, a kappa tie within
