@@ -55,7 +55,7 @@ def _extremum(params: GameParams, lo: float, hi: float,
     +) or dips (d goes from + to -), by bisection of d's sign in ln v to
     ROOT_BISECTION_WIDTH; the end where it does, if d keeps its sign."""
     cv = params.conventions
-    a, c, e = cv.c_g * params._kappa, cv.c_p, cv.privacy_exponent
+    a, c, e = params._weight, cv.c_p, cv.privacy_exponent
     shift = (math.log(params.P_S) - math.log(params.A_S) + math.log(c)
              + math.log(e) - math.log(a))
     x_lo = 2.0 * math.log(lo) if lo > 0.0 else math.log(math.ulp(0.0))
@@ -117,7 +117,7 @@ def _crossings(params: GameParams) -> Iterator[float]:
     """The roots of threshold_crossings, yielded as the walk up d's intervals
     reaches them; it takes the laws at each end only once it gets there."""
     cv = params.conventions
-    a, M = cv.c_g * params._kappa, params.M
+    a, M = params._weight, params.M
     ends = [math.sqrt(v) for v in _critical_points(
         a, cv.c_p, cv.privacy_exponent, M * M)]
     lo, P_lo, B_lo = 0.0, _privacy_loss(params, 0.0, 0.0), _abstain(

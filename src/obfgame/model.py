@@ -4,7 +4,9 @@ Holds the game constants and the accuracy / privacy / utility functions that
 every solver consumes.  All operations are pure functions of their arguments.
 Each law is written once, as a kernel over variances; its public function
 takes each deviation as a float or an array, checks it against [0, M], and
-returns a float for floats and an array otherwise.
+returns a float for floats and an array otherwise.  The accuracy kernel
+takes the weight c_g kappa (GameParams derives it) and an int N, not the
+params, so that the sweep's column form calls it on each grid point too.
 
 Model conventions: a learner promises perturbation with standard deviation
 sigma_L, every user i chooses a standard deviation sigma_S in [0, M], and the
@@ -89,9 +91,10 @@ class GameParams:
         for name in _FLOATS:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "N", int(self.N))
-        # not a field: neither settable nor compared; replace() derives it
+        # kappa and the weight c_g kappa: not fields, so replace() derives them
         object.__setattr__(self, "_kappa", _derived_kappa(
             self.M, self.rho, self.N, self.conventions.c_g))
+        object.__setattr__(self, "_weight", self.conventions.c_g * self._kappa)
 
 
 def _is_count(N) -> bool:
@@ -180,10 +183,10 @@ def _quiet(kernel, params: GameParams, *v):
     return kernel(params, *v)
 
 
-def _accuracy(params: GameParams, v_L, v_bar_other, v_S):
-    n = params.N
-    return (params.conventions.c_g * params._kappa
-            * (v_L + ((n - 1) / n) * v_bar_other + v_S / n))
+def _accuracy(weight: float, n: int, v_L, v_bar_other, v_S):
+    """weight (v_L + ((n-1)/n) v_bar_other + v_S/n), weight = c_g kappa; an
+    int n keeps (n-1)/n correctly rounded where N exceeds 2**53."""
+    return weight * (v_L + ((n - 1) / n) * v_bar_other + v_S / n)
 
 
 def _privacy(params: GameParams, v_L, v_S):
@@ -203,19 +206,19 @@ def _privacy_loss(params: GameParams, v_L, v_S):
 
 
 def _user(params: GameParams, v_L, v_bar_other, v_S):
-    return (params.A_S * _exp(-_accuracy(params, v_L, v_bar_other, v_S))
-            - _privacy_loss(params, v_L, v_S)
+    accuracy = _accuracy(params._weight, params.N, v_L, v_bar_other, v_S)
+    return (params.A_S * _exp(-accuracy) - _privacy_loss(params, v_L, v_S)
             - params.C_S * (v_S > 0))
 
 
 def _learner(params: GameParams, v_L, v_bar):
-    return (params.A_L * _exp(-_accuracy(params, v_L, v_bar, v_bar))
-            - params.C_L * (v_L > 0))
+    accuracy = _accuracy(params._weight, params.N, v_L, v_bar, v_bar)
+    return params.A_L * _exp(-accuracy) - params.C_L * (v_L > 0)
 
 
 def _abstain(params: GameParams, v_L, v_bar_other):
-    return (params.A_S * _exp(-_accuracy(params, v_L, v_bar_other, 0.0))
-            + params.C_S)
+    accuracy = _accuracy(params._weight, params.N, v_L, v_bar_other, 0.0)
+    return params.A_S * _exp(-accuracy) + params.C_S
 
 
 def _pressure_gap(params: GameParams, v_L, v_bar_other):
@@ -230,7 +233,8 @@ def accuracy_level(params: GameParams, sigma_L, sigma_bar_other, sigma_S):
     Equals c_g * kappa * (sigma_L^2 + ((N-1)/N) sigma_bar_other^2
     + (1/N) sigma_S^2); zero at zero noise.
     """
-    return _quiet(_accuracy, params, _variance(params, "sigma_L", sigma_L),
+    return _quiet(lambda p, *v: _accuracy(p._weight, p.N, *v), params,
+                  _variance(params, "sigma_L", sigma_L),
                   _variance(params, "sigma_bar_other", sigma_bar_other),
                   _variance(params, "sigma_S", sigma_S))
 

@@ -21,6 +21,7 @@ from .mfg import gamma
 from .model import (
     GameParams,
     ModelConventions,
+    _accuracy,
     _check_fields,
     _derived_kappa,
     _learner,
@@ -249,19 +250,16 @@ def _closed_form(params: GameParams) -> tuple[
     return cond, reason, _REGIMES[row], th
 
 
-def _others_share(N) -> float:
-    """(N - 1)/N in integers, as _accuracy takes it."""
-    return (int(N) - 1) / int(N)
-
-
 def _elementwise(f, *columns) -> np.ndarray:
     """f over the broadcast of the columns (numbers or arrays), called on
     Python numbers so that it rounds as on the scalar path: numpy's log and
-    exp differ from math's by an ulp on some inputs."""
-    shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
-    args = (np.broadcast_to(column, shape).ravel().tolist()
-            for column in columns)
-    return np.array(list(map(f, *args)), dtype=float).reshape(shape)
+    exp differ from math's by an ulp on some inputs.  Float items reach f as
+    Python floats, object items unchanged.  f raises its own errors, so
+    numpy's float-flag warnings (where f overflows, or compares a nan) are
+    off."""
+    with np.errstate(all="ignore"):
+        values = np.frompyfunc(f, len(columns), 1)(*columns)
+    return np.asarray(values, dtype=float)
 
 
 def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
@@ -275,11 +273,11 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
     Infeasible points).  Scalar laws run elementwise on Python numbers, each
     on the fewest fields it reads, and numpy does only +, -, *, /,
     comparisons and selections in _closed_form's order, so every value is
-    the scalar path's to the bit.  The utility's retained accuracy is one
-    term per row kind, on the fields that term reads:
-    exp(-c_g kappa ((N-1)/N M^2 + M^2/N)) on FullObfuscation rows from M,
-    rho, N and c_g; exp(-c_g kappa tau_hat^2) on PrivacyPromise rows from
-    those and P_S, C_S; and 1 on the other rows."""
+    the scalar path's to the bit.  The utility's retained accuracy is
+    exp(-model._accuracy) at each row kind's variances, on the fields they
+    read, with N an int as in GameParams: sigma_L = 0 and the crowd at M on
+    FullObfuscation rows (M, rho, N, c_g), sigma_L = tau_hat alone on
+    PrivacyPromise rows (those and P_S, C_S), and 1 on the other rows."""
     _check_fields({name: np.ravel(column).tolist() for name, column in zip(
         ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "N", "M"),
         (A_L, C_L, A_S, P_S, C_S, rho, N, M))})
@@ -287,20 +285,17 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
     privacy_log = _elementwise(_privacy_log, P_S, C_S)
     tau_h = _elementwise(_inverse_root, privacy_log)
     log_benefit = _elementwise(_log_quotient, A_L, C_L)
+    weight = conventions.c_g * scale
+    full = _elementwise(lambda w, n, m: math.exp(
+        -_accuracy(w, int(n), 0.0, m * m, m * m)), weight, N, M)
+    promised = _elementwise(lambda w, n, t: math.exp(
+        -_accuracy(w, int(n), t * t, 0.0, 0.0)), weight, N, tau_h)
     with np.errstate(invalid="ignore", over="ignore"):
         threshold = np.where(privacy_log == 0, 0.0, log_benefit * privacy_log)
         row, surplus_band, kappa_band = _table(P_S - C_S, A_S, scale,
                                                threshold)
         regime = np.where(surplus_band | kappa_band, 3, row)
         kind = np.where((regime == 2) & (tau_h > M), 4, regime)
-        # learner_utility at the equilibrium: _accuracy's terms in its order
-        # less the zero ones (adding +0.0 is exact)
-        weight = conventions.c_g * scale
-        crowd = M * M
-        share = _elementwise(_others_share, N)
-        full = _elementwise(math.exp, -(weight * (
-            share * crowd + crowd / np.asarray(N, dtype=float))))
-        promised = _elementwise(math.exp, -(weight * (tau_h * tau_h)))
         retained = np.where(kind == 1, full,
                             np.where(kind == 2, promised, 1.0))
         utility = A_L * retained - C_L * (kind == 2)

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -801,6 +803,63 @@ class TestClosedFormColumns:
             rho=axis([0.3, 1.0, 2.5], 3), N=axis([1, 7, 300], 4))
         assert seen == {"StatusQuo", "FullObfuscation", "PrivacyPromise",
                         "Infeasible"}
+
+    def test_float_N_above_2_53_as_an_int(self):
+        # the sweep's N axis is a float grid; above 2**53 a float N rounds
+        # N - 1, so the crowd's term must take (N-1)/N from int(N) as
+        # GameParams does.  300 groups of 8 even N (exact as floats), with
+        # kappa M^2 near 1 so that U_L does not underflow.
+        rng = np.random.default_rng(0)
+        N = 2.0**53 + 2.0 * rng.integers(1, 10**6, size=(300, 8))
+        M = rng.uniform(1.3, 5.0, size=(300, 1))
+        rho = rng.uniform(0.5, 2.0, size=(300, 1)) * 1.05e-8 * M
+        fields = dict(A_L=2.0, C_L=1.0, A_S=0.5, P_S=2.0, C_S=1.0, rho=rho,
+                      N=N, M=M)
+        assert column_labels(**fields) == {"FullObfuscation",
+                                           "PrivacyPromise"}
+        kind, _, utility = stackelberg._closed_form_columns(
+            conventions=ModelConventions(), **fields)
+        assert np.count_nonzero((kind == 1) & (utility > 0)) > 100
+
+    def test_columns_spanned_by_one_field_build_no_lists(self):
+        # C_L alone at 10^5 steps: each law holds one object array over its
+        # own shape, not a list per column (9.2 MiB with those lists)
+        C_L = np.linspace(0.05, 2.5, 10**5)
+        tracemalloc.start()
+        try:
+            stackelberg._closed_form_columns(
+                A_L=2.0, C_L=C_L, A_S=0.5, P_S=2.0, C_S=1.0, rho=1.0, N=100,
+                M=50.0, conventions=ModelConventions())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_elementwise_calls_f_on_python_numbers(self):
+        seen = []
+
+        def f(x, y):
+            seen.append((x, y))
+            return math.nan if x is True else x // 10**399 * y
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stackelberg._elementwise(
+                f, np.array([True, 10**400], dtype=object).reshape(-1, 1),
+                np.array([0.5, 1.5]))
+            # f compares a nan, overflows and returns nan: no warning
+            assert np.isnan(stackelberg._elementwise(
+                stackelberg._inverse_root, np.array([math.nan]))).all()
+            assert stackelberg._elementwise(
+                lambda x: x * 1e308, np.array([10.0])) == math.inf
+        assert got.dtype == float and got.shape == (2, 2)
+        assert np.isnan(got[0]).all() and got[1].tolist() == [5.0, 15.0]
+        # in whatever order numpy visits the grid
+        assert sorted((type(x).__name__, type(y).__name__, y)
+                      for x, y in seen) == [
+            ("bool", "float", 0.5), ("bool", "float", 1.5),
+            ("int", "float", 0.5), ("int", "float", 1.5)]
+        assert {x for x, _ in seen if x is not True} == {10**400}
 
     def test_one_table_for_floats_and_columns(self):
         # (surplus, A_S, kappa, threshold) -> (row, surplus band, kappa
