@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -346,6 +347,8 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
                                ("n_eval", n_eval, 1000), ("n_ref", n_ref, 2)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}")
+    if operator.index(rng_seed) < 0:  # as np.random.SeedSequence refuses
+        raise ValueError(f"rng_seed={rng_seed} must be a non-negative integer")
     if len(aggregates) < 4:
         raise ValueError("at least 4 noise levels are required")
     v_values = np.array(aggregates, dtype=float)

@@ -11,7 +11,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import GameParams, _pressure_gap, _quiet, _variance, user_utility
+from .model import (GameParams, _elementwise, _pressure_gap, _variance,
+                    user_utility)
 
 __all__ = [
     "INDIFFERENCE_TOL",
@@ -92,23 +93,15 @@ class CascadeTrace:
     final_mean_variance: float
 
 
-def _response(params: GameParams, sigma_L, sigma_bar_other,
-              tol: float = INDIFFERENCE_TOL):
-    """The corner decision rule, elementwise: the masks (obfuscate, abstain),
-    true where the promise-only privacy loss exceeds, or falls short of, the
-    value of abstaining by more than tol; tol = 0 is the strict rule of gamma
-    and the fixed points.  Neither holds where the user is indifferent."""
-    gap = _quiet(_pressure_gap, params, _variance(params, "sigma_L", sigma_L),
-                 _variance(params, "sigma_bar_other", sigma_bar_other))
+def _response(params: GameParams, sigma_L: float, sigma_bar_other: float,
+              tol: float = INDIFFERENCE_TOL) -> tuple[bool, bool]:
+    """The corner rule on Python floats, (obfuscate, abstain): true where the
+    promise-only privacy loss exceeds, or falls short of, the abstain value
+    by more than tol; tol = 0 is the strict rule of gamma and the fixed
+    points.  Neither holds where the user is indifferent."""
+    gap = _pressure_gap(params, _variance(params, "sigma_L", sigma_L),
+                        _variance(params, "sigma_bar_other", sigma_bar_other))
     return gap > tol, gap < -tol
-
-
-def _corner(params: GameParams, obfuscate: bool, abstain: bool) -> BestResponse:
-    if abstain:
-        return BestResponse(ResponseKind.ZERO, (0.0, 0.0))
-    if obfuscate:
-        return BestResponse(ResponseKind.MAX, (params.M, params.M))
-    return BestResponse(ResponseKind.INDIFFERENT, (0.0, params.M))
 
 
 def best_response(params: GameParams, sigma_L: float,
@@ -116,7 +109,12 @@ def best_response(params: GameParams, sigma_L: float,
     """Corner best response: abstain when the promise-only privacy loss falls
     short of the value of abstaining, obfuscate fully when it exceeds it,
     indifferent within INDIFFERENCE_TOL of the crossing."""
-    return _corner(params, *_response(params, sigma_L, sigma_bar_other))
+    obfuscate, abstain = _response(params, sigma_L, sigma_bar_other)
+    if abstain:
+        return BestResponse(ResponseKind.ZERO, (0.0, 0.0))
+    if obfuscate:
+        return BestResponse(ResponseKind.MAX, (params.M, params.M))
+    return BestResponse(ResponseKind.INDIFFERENT, (0.0, params.M))
 
 
 def best_response_oracle(params: GameParams, sigma_L: float,
@@ -154,9 +152,11 @@ def mfg_equilibria(params: GameParams, sigma_L: float) -> MfgEquilibria:
 def gamma(params: GameParams, sigma_L: float | np.ndarray) -> float | np.ndarray:
     """Induced symmetric response: M exactly when the promise-only privacy
     loss strictly exceeds the abstain value against a non-obfuscating crowd,
-    else 0 (the selection in the bistable band).  Takes a promise or an array
-    of promises."""
-    return params.M * _response(params, sigma_L, 0.0, 0.0)[0]
+    else 0 (the selection in the bistable band).  Takes a promise, or an
+    array of promises decided point by point on Python floats."""
+    if isinstance(sigma_L, (float, int)):
+        return params.M * _response(params, sigma_L, 0.0, 0.0)[0]
+    return _elementwise(lambda sigma: gamma(params, float(sigma)), sigma_L)
 
 
 def fixed_point_check(params: GameParams, sigma_L: float, sigma_bar: float) -> bool:
@@ -231,11 +231,9 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
 
 def br_curve(params: GameParams, sigma_L: float,
              n_points: int) -> list[tuple[float, BestResponse]]:
-    """Sample the best response against n_points crowd levels spread
-    uniformly over [0, M]; suitable for plotting response diagrams."""
+    """best_response at n_points crowd levels spread uniformly over [0, M]
+    (Python floats); suitable for plotting response diagrams."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    levels = np.linspace(0.0, params.M, n_points)
-    obfuscate, abstain = _response(params, sigma_L, levels)
-    return [(s, _corner(params, o, a)) for s, o, a in
-            zip(levels.tolist(), obfuscate.tolist(), abstain.tolist())]
+    return [(s, best_response(params, sigma_L, s))
+            for s in np.linspace(0.0, params.M, n_points).tolist()]

@@ -169,8 +169,20 @@ def _exp(x):
     return math.exp(x) if isinstance(x, float) else np.exp(x)
 
 
+def _elementwise(f, *columns) -> np.ndarray:
+    """f over the broadcast of the columns (numbers or arrays), called on
+    Python numbers so that it rounds as on the scalar path, since numpy's log
+    and exp differ from math's by an ulp on some inputs: the one place where
+    a float rule meets an array.  Float items reach f as Python floats, object
+    items unchanged.  f raises its own errors, so numpy's float-flag warnings
+    (where f overflows, or compares a nan) are off."""
+    with np.errstate(all="ignore"):
+        values = np.frompyfunc(f, len(columns), 1)(*columns)
+    return np.asarray(values, dtype=float)
+
+
 # One kernel per law, over unchecked variances v = sigma^2 (floats or arrays);
-# a caller that passes arrays runs it under _quiet.
+# a public law that takes arrays runs it under _quiet.
 
 def _quiet(kernel, params: GameParams, *v):
     """kernel(params, *v), with numpy's overflow and divide warnings off if a

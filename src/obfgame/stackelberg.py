@@ -24,6 +24,7 @@ from .model import (
     _accuracy,
     _check_fields,
     _derived_kappa,
+    _elementwise,
     _learner,
     kappa,
     learner_utility,
@@ -182,7 +183,7 @@ def thresholds(params: GameParams) -> Thresholds:
 def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
                            ) -> float | np.ndarray:
     """Exact leader payoff at a promise (or an array of promises), with the
-    users at their induced symmetric response gamma(sigma_L): M where
+    users at gamma(sigma_L), decided per promise on Python floats: M where
     privacy pressure exceeds the abstain value, else 0."""
     return learner_utility(params, sigma_L, gamma(params, sigma_L))
 
@@ -248,18 +249,6 @@ def _closed_form(params: GameParams) -> tuple[
              if tau_h == math.inf else ("tau_hat undefined: P_S <= C_S",))
     th = Thresholds(None, None if notes else tau_h, cond.kappa, notes)
     return cond, reason, _REGIMES[row], th
-
-
-def _elementwise(f, *columns) -> np.ndarray:
-    """f over the broadcast of the columns (numbers or arrays), called on
-    Python numbers so that it rounds as on the scalar path: numpy's log and
-    exp differ from math's by an ulp on some inputs.  Float items reach f as
-    Python floats, object items unchanged.  f raises its own errors, so
-    numpy's float-flag warnings (where f overflows, or compares a nan) are
-    off."""
-    with np.errstate(all="ignore"):
-        values = np.frompyfunc(f, len(columns), 1)(*columns)
-    return np.asarray(values, dtype=float)
 
 
 def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,

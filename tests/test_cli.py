@@ -673,6 +673,9 @@ class TestCommandLine:
          "err", ["config error: rng_seed"]),
         (["cascade", "--config", "CFG", "--out", "OUT", "--seed=-1"], 2,
          "err", ["config error: rng_seed"]),
+        # refused before any fit, with the key cascade names
+        (["validate", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
+         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
         # help
         (["-h"], 0, "out",
          ["usage: obfgame", *COMMAND_LINES, "--config PATH"]),

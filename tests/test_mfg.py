@@ -21,8 +21,11 @@ from obfgame import (
     cascade_simulate,
     fixed_point_check,
     gamma,
+    induced_leader_utility,
     mfg_equilibria,
     privacy_pressure,
+    tau_exact,
+    threshold_crossings,
 )
 from obfgame import mfg
 from obfgame.mfg import INDIFFERENCE_TOL, _response
@@ -182,6 +185,79 @@ class TestGamma:
         assert 0.0 in mfg_equilibria(params, hi).equilibria
 
 
+@st.composite
+def _crossing_promises(draw):
+    """A log-uniform game over wide ranges, with a surplus (P_S - C_S > A_S)
+    and M up to 1e12, and the promises where gamma decides at a crossing:
+    tau_exact, every other root of threshold_crossings and the floats either
+    side of each, within [0, M], beside one drawn promise."""
+    def log_uniform(low, high):
+        return 10.0 ** draw(st.floats(math.log10(low), math.log10(high)))
+
+    A_S, C_S = log_uniform(1e-2, 1e2), log_uniform(1e-18, 1e2)
+    P_S = (A_S + C_S) * log_uniform(1.0, 30.0)
+    assume(P_S - C_S > A_S)
+    conventions = ModelConventions(
+        c_g=log_uniform(1e-3, 1e3), c_p=log_uniform(1e-3, 1e3),
+        privacy_exponent=draw(st.sampled_from([0.5, 1.0])))
+    params = GameParams(
+        A_L=log_uniform(1e-2, 1e2), C_L=log_uniform(1e-3, 1e2), A_S=A_S,
+        P_S=P_S, C_S=C_S, rho=log_uniform(1e-2, 1e2),
+        N=int(log_uniform(1.0, 1e5)), M=log_uniform(0.1, 1e12),
+        conventions=conventions)
+    promises = [draw(st.floats(0.0, 1.0)) * params.M]
+    for root in threshold_crossings(params):
+        promises += [math.nextafter(root, 0.0), root,
+                     math.nextafter(root, math.inf)]
+    return params, [x for x in promises if x <= params.M]
+
+
+class TestOneArithmetic:
+    """Every decision runs on Python floats: an array of promises or of
+    crowd levels is decided point by point as each of its floats is."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(game=_crossing_promises())
+    def test_floats_and_arrays_decide_alike(self, game):
+        params, promises = game
+        for sigma_L in promises:
+            on_array = gamma(params, np.array([sigma_L]))
+            assert on_array.tolist() == [gamma(params, sigma_L)]
+            for level, response in br_curve(params, sigma_L, 11):
+                assert response == best_response(params, sigma_L, level)
+
+    def test_the_array_deters_at_tau_exact(self):
+        # numpy's exp and math's round this game's pressure or abstain value
+        # 1 ulp apart at tau_exact: an array of it used to read M
+        params = GameParams(
+            A_L=1.3455560212858342, C_L=0.5564095431679249,
+            A_S=0.6177958695373931, P_S=3.085404013955012,
+            C_S=0.66806300703873, rho=1.2052916977742767, N=4426, M=32.0)
+        root = tau_exact(params)
+        assert root == 1.3620266875366105
+        assert gamma(params, root) == 0.0
+        assert gamma(params, np.array([root])).tolist() == [0.0]
+
+    def test_every_decision_reads_python_floats(self, monkeypatch):
+        seen = []
+        real = mfg._response
+
+        def spy(params, sigma_L, crowd, *args):
+            seen.append((type(sigma_L), type(crowd)))
+            return real(params, sigma_L, crowd, *args)
+
+        monkeypatch.setattr(mfg, "_response", spy)
+        params = make_params(**BISTABLE)
+        promises = np.linspace(0.0, 3.0, 7)
+        assert gamma(params, promises).shape == (7,)
+        assert gamma(params, promises.reshape(7, 1, 1)).shape == (7, 1, 1)
+        induced_leader_utility(params, promises)
+        br_curve(params, 1.0, 9)
+        mfg_equilibria(params, 1.0)
+        assert len(seen) == 7 + 7 + 7 + 9 + 2
+        assert set(seen) == {(float, float)}
+
+
 class TestFixedPointCheck:
     def test_max_is_not_fixed_in_abstain_regime(self):
         params = make_params(A_S=1.0, P_S=1.5, C_S=1.0, N=100, M=5.0)
@@ -300,9 +376,8 @@ class TestCascadeRandomOrder:
             seeds.append(seed)
             return real(seed)
 
-        n, M = bench.N, bench.M
-        crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / (n - 1)))
-        obfuscate, abstain = _response(bench, 1.0, crowd)
+        n = bench.N
+        obfuscate, abstain = _rule_by_count(bench, 1.0)
         # up[k] = obfuscate[k] and down[k] = abstain[k - 1]
         assert np.nonzero(obfuscate[1:] & abstain[:-1])[0].tolist() == [6]
         monkeypatch.setattr(np.random, "default_rng", recording)
@@ -361,9 +436,7 @@ class TestCascadeProperties:
         # k = 0..N-1 others at M.  It runs abstain, then indifferent, then
         # obfuscate, because the gap does not fall as k grows.
         params, sigma_L = game
-        n, M = params.N, params.M
-        crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
-        obfuscate, abstain = _response(params, sigma_L, crowd)
+        obfuscate, abstain = _rule_by_count(params, sigma_L)
         assert not np.any(abstain[1:] & ~abstain[:-1])
         assert not np.any(obfuscate[:-1] & ~obfuscate[1:])
 
@@ -454,13 +527,20 @@ class TestCascadeProperties:
             assert trace.rounds == [10**10, 10**12, 10**12]
 
 
+def _rule_by_count(params, sigma_L):
+    """The corner rule's (obfuscate, abstain) as two boolean arrays over
+    k = 0..N-1 others at M, each read on the float crowd
+    sqrt(M^2 k / (N - 1)) capped at M, as cascade_simulate reads it."""
+    n, M = params.N, params.M
+    return np.array([_response(params, sigma_L, min(
+        M, math.sqrt(M * M * k / max(n - 1, 1)))) for k in range(n)]).T
+
+
 def _response_table(params, sigma_L):
     """up[k] and down[k] for k = 0..N: whether an agent at 0, or at M, moves
     to the other corner when k agents sit at M, read from the corner rule
     for every count of others at M."""
-    n, M = params.N, params.M
-    crowd = np.minimum(M, np.sqrt(M * M * np.arange(n) / max(n - 1, 1)))
-    obfuscate, abstain = _response(params, sigma_L, crowd)
+    obfuscate, abstain = _rule_by_count(params, sigma_L)
     return np.append(obfuscate, False), np.insert(abstain, 0, False)
 
 

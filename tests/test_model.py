@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from obfgame import (
     privacy_pressure,
     user_utility,
 )
-from obfgame import stackelberg
+from obfgame import model, stackelberg
 
 
 # a valid point, and valid and invalid values of each field to add to it
@@ -311,6 +312,32 @@ class TestArrayForms:
         in_arrays = [accuracy_level(params, np.array([s]), 0.0, 0.0)[0]
                      for s in sigmas]
         assert as_floats == in_arrays
+
+    def test_elementwise_calls_f_on_python_numbers(self):
+        seen = []
+
+        def f(x, y):
+            seen.append((x, y))
+            return math.nan if x is True else x // 10**399 * y
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._elementwise(
+                f, np.array([True, 10**400], dtype=object).reshape(-1, 1),
+                np.array([0.5, 1.5]))
+            # f compares a nan, overflows and returns nan: no warning
+            assert np.isnan(model._elementwise(
+                stackelberg._inverse_root, np.array([math.nan]))).all()
+            assert model._elementwise(
+                lambda x: x * 1e308, np.array([10.0])) == math.inf
+        assert got.dtype == float and got.shape == (2, 2)
+        assert np.isnan(got[0]).all() and got[1].tolist() == [5.0, 15.0]
+        # in whatever order numpy visits the grid
+        assert sorted((type(x).__name__, type(y).__name__, y)
+                      for x, y in seen) == [
+            ("bool", "float", 0.5), ("bool", "float", 1.5),
+            ("int", "float", 0.5), ("int", "float", 1.5)]
+        assert {x for x, _ in seen if x is not True} == {10**400}
 
     @pytest.mark.parametrize("bad", [-1.0, 60.0, math.nan])
     def test_every_entry_is_checked(self, bad):

@@ -2,7 +2,6 @@ import ast
 import dataclasses
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -834,32 +833,6 @@ class TestClosedFormColumns:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-
-    def test_elementwise_calls_f_on_python_numbers(self):
-        seen = []
-
-        def f(x, y):
-            seen.append((x, y))
-            return math.nan if x is True else x // 10**399 * y
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = stackelberg._elementwise(
-                f, np.array([True, 10**400], dtype=object).reshape(-1, 1),
-                np.array([0.5, 1.5]))
-            # f compares a nan, overflows and returns nan: no warning
-            assert np.isnan(stackelberg._elementwise(
-                stackelberg._inverse_root, np.array([math.nan]))).all()
-            assert stackelberg._elementwise(
-                lambda x: x * 1e308, np.array([10.0])) == math.inf
-        assert got.dtype == float and got.shape == (2, 2)
-        assert np.isnan(got[0]).all() and got[1].tolist() == [5.0, 15.0]
-        # in whatever order numpy visits the grid
-        assert sorted((type(x).__name__, type(y).__name__, y)
-                      for x, y in seen) == [
-            ("bool", "float", 0.5), ("bool", "float", 1.5),
-            ("int", "float", 0.5), ("int", "float", 1.5)]
-        assert {x for x, _ in seen if x is not True} == {10**400}
 
     def test_one_table_for_floats_and_columns(self):
         # (surplus, A_S, kappa, threshold) -> (row, surplus band, kappa
