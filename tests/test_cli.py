@@ -673,9 +673,6 @@ class TestCommandLine:
          "err", ["config error: rng_seed"]),
         (["cascade", "--config", "CFG", "--out", "OUT", "--seed=-1"], 2,
          "err", ["config error: rng_seed"]),
-        # refused before any fit, with the key cascade names
-        (["validate", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
-         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
         # help
         (["-h"], 0, "out",
          ["usage: obfgame", *COMMAND_LINES, "--config PATH"]),
@@ -709,6 +706,9 @@ class TestCommandLine:
          ["unrecognized argument '--conf'"]),
         (["cascade", "--config", "CFG", "--out", "OUT", "--s", "1"], 2, "err",
          ["unrecognized argument '--s'"]),
+        # refused before any fit, with the key cascade names
+        (["validate", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
+         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
     ])
     def test_argv(self, tmp_path, capsys, argv, code, stream, fragments):
         cfg = write_config(tmp_path, TestCascadeCommand.CASCADE)
