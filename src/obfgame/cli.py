@@ -349,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(args["--config"])
         config.entries.update(
             (key, value) for key, value in args.items() if key in _SCHEMA)
+        if (seed := config.get("rng_seed")) < 0:  # refused by every command
+            raise ConfigError(f"rng_seed={seed} must be a non-negative integer")
         # built per call, so that a runner replaced on the module runs
         run = {"solve": run_solve, "sweep": run_sweep,
                "br-curve": run_br_curve, "cascade": run_cascade,

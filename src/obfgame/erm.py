@@ -58,10 +58,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:

@@ -177,13 +177,12 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     Indifferent agents keep their current action.  Stops after a pass with
     no change, or after max_rounds with converged=False.  A round decides
     from the rule at its count k, read on floats as best_response reads
-    it, and costs O(1) in N: the only N-sized work is the async swap's
-    random order.
+    it, and costs O(1) in N.
 
     The order decides an async round only where agents at both corners
     want the other one, which can happen in the first round alone: only
-    then is a random order drawn from rng_seed (a non-negative integer), so
-    rng_seed changes nothing else.
+    then is the first agent of a random order drawn from rng_seed (a
+    non-negative integer), so rng_seed changes nothing else.
     """
     if not 0.0 <= seed_fraction <= 1.0:
         raise ValueError("seed_fraction must lie in [0, 1]")
@@ -217,7 +216,7 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
             if schedule == "sync":
                 k = n - k
             else:
-                first = np.random.default_rng(rng_seed).permutation(n)[0]
+                first = np.random.default_rng(rng_seed).integers(n)
                 k = 0 if first < k else n
         elif up or down:
             k = n if up else 0  # all end where the movers go

@@ -709,6 +709,15 @@ class TestCommandLine:
         # refused before any fit, with the key cascade names
         (["validate", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
          "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+        # refused by the commands that read no seed too
+        (["solve", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
+         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+        (["sweep", "--config", "CFG", "--out", "OUT", "--seed=-1"], 2,
+         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+        (["br-curve", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
+         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+        (["solve", "--config", "CFG", "--out", "OUT", "--seed", "-1",
+          "--seed", "1"], 0, "out", ["regime="]),
     ])
     def test_argv(self, tmp_path, capsys, argv, code, stream, fragments):
         cfg = write_config(tmp_path, TestCascadeCommand.CASCADE)
@@ -728,6 +737,23 @@ class TestCommandLine:
             assert usage.startswith("usage: obfgame <")
             assert error.startswith("obfgame: error: ")
             assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "br-curve",
+                                         "cascade", "validate"])
+    def test_negative_seed_key_is_refused_by_every_command(
+            self, tmp_path, capsys, command):
+        # checked after --seed has overridden the key
+        cfg = write_config(tmp_path, TestCascadeCommand.CASCADE.replace(
+            "rng_seed = 1", "rng_seed = -1") + "br_curve.sigma_L = 1.0\n"
+            "sweep.P_S.min = 1.0\nsweep.P_S.max = 2.0\nsweep.P_S.steps = 2\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rng_seed=-1 must be a non-negative integer\n")
+        assert not out.exists()
+        if command != "validate":  # the ERM runs are the slow part of tier-1
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--seed", "1"]) == 0
 
     def test_cascade_imports_no_argparse(self, tmp_path, run_python):
         # a fresh interpreter: the claimed start-up saving is argparse's
@@ -867,6 +893,25 @@ class TestValidateCommand:
         assert "erm_scaling: PASS" in summary
         assert "unconverged=0)" in summary
         assert "dp_scaling: PASS" in summary
+
+    def test_custom_experiment_reaches_the_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, (
+            "experiment.erm.levels = 0, 1, 2, 4\n"
+            "experiment.erm.replications = 10\n"
+            "experiment.erm.n_ref = 2000\n"
+            "experiment.erm.n_eval = 1000\n"
+            "experiment.dp.pairs = 1,0; 3,4 ;\n"))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[:2] for line in lines] == [
+            ["erm_scaling:", "PASS"], ["dp_scaling:", "PASS"]]
+        erm_rows = (out / "erm_scaling.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in erm_rows] == [
+            ["0", "0.0"], ["1", "1.0"], ["2", "2.0"], ["3", "4.0"]]
+        dp_rows = (out / "dp_scaling.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in dp_rows] == [
+            ["0", "1.0", "0.0", "1.0"], ["1", "3.0", "4.0", "5.0"]]
 
     def test_unconverged_fits_fail_validation(self, tmp_path, monkeypatch,
                                               capsys):

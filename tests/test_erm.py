@@ -440,3 +440,13 @@ class TestScalingExperiment:
             Dataset(np.zeros((3, 2)), np.array([1.0, -1.0, 0.5]))
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((3, 2, 1))])
+    def test_dataset_refuses_features_not_2d(self, features):
+        with pytest.raises(ValueError, match="features must be a 2-D array"):
+            Dataset(features, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_classifier_refuses_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Classifier(np.array([0.5, bad]))

@@ -381,14 +381,14 @@ class TestCascadeRandomOrder:
         # up[k] = obfuscate[k] and down[k] = abstain[k - 1]
         assert np.nonzero(obfuscate[1:] & abstain[:-1])[0].tolist() == [6]
         monkeypatch.setattr(np.random, "default_rng", recording)
-        # the orders of seeds 2083 and 6376 start at agents 6 and 7, the
-        # last seeded agent and the first unseeded one
-        drawn = (0, 1, 2, 3, 2083, 6376)
+        # the first agents drawn from seeds 41349 and 8117 are agents 6 and
+        # 7, the last seeded agent and the first unseeded one
+        drawn = (0, 1, 2, 3, 41349, 8117)
         for rng_seed in drawn:
             trace = cascade_simulate(bench, 1.0, 7e-4, rng_seed=rng_seed)
             # every agent goes where the first of the order goes: agents
             # 0..6 sit at M and move to 0, the others move to M
-            end = float(real(rng_seed).permutation(n)[0] >= 7)
+            end = float(real(rng_seed).integers(n) >= 7)
             assert trace.adoption_fraction == [7e-4, end, end]
         assert seeds == list(drawn)
 
@@ -506,16 +506,24 @@ class TestCascadeProperties:
 
     def test_allocates_nothing_n_sized(self):
         # a million agents in well under the 8 bytes apiece an array of them
-        # would take; the game never swaps, whose random order is N-sized
-        params = make_params(**dict(BENCH_CASCADE, N=10**6, M=1e4))
-        for schedule in ("async", "sync"):
+        # would take.  The second game is the async swap: at k = 2568 agents
+        # at both corners want the other one, and one agent is drawn.
+        runs = {(1e4, 0.01, "async"): [10**4, 10**6, 10**6],
+                (1e4, 0.01, "sync"): [10**4, 10**6, 10**6],
+                (5e3, 2568e-6, "async"): [2568, 10**6, 10**6],
+                (5e3, 2568e-6, "sync"): [2568, 10**6 - 2568, 10**6, 10**6]}
+        for (M, fraction, schedule), rounds in runs.items():
+            params = make_params(**dict(BENCH_CASCADE, N=10**6, M=M))
+            # untraced first: the first draw imports numpy.random's modules
+            cascade_simulate(params, 1.0, fraction, schedule=schedule)
             tracemalloc.start()
             try:
-                trace = cascade_simulate(params, 1.0, 0.01, schedule=schedule)
+                trace = cascade_simulate(params, 1.0, fraction,
+                                         schedule=schedule)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert trace.adoption_fraction == [0.01, 1.0, 1.0]
+            assert trace.rounds == rounds
             assert peak < 64 * 1024
 
     def test_a_trillion_agents(self):
@@ -525,6 +533,14 @@ class TestCascadeProperties:
             trace = cascade_simulate(params, 1.0, 0.01, schedule=schedule)
             assert trace.adoption_fraction == [0.01, 1.0, 1.0]
             assert trace.rounds == [10**10, 10**12, 10**12]
+        # the async swap draws one agent of 10^12: at M = 5e7, agents at
+        # both corners want the other one at k = 25,680,176
+        params = make_params(**dict(BENCH_CASCADE, N=10**12, M=5e7))
+        fraction = 25_680_176 / 10**12
+        trace = cascade_simulate(params, 1.0, fraction)
+        assert trace.rounds == [25_680_176, 10**12, 10**12]
+        trace = cascade_simulate(params, 1.0, fraction, schedule="sync")
+        assert trace.rounds[1] == 10**12 - 25_680_176
 
 
 def _rule_by_count(params, sigma_L):
@@ -561,7 +577,7 @@ def _table_cascade(params, sigma_L, seed_fraction, schedule, rng_seed,
             if schedule == "sync":
                 states = ~states
             else:
-                first = np.random.default_rng(rng_seed).permutation(n)[0]
+                first = np.random.default_rng(rng_seed).integers(n)
                 states[:] = not states[first]
         elif up[k] or down[k]:
             states[:] = up[k]
@@ -608,7 +624,11 @@ def _reference_cascade(params, sigma_L, seed_fraction, schedule, rng_seed,
     for _ in range(max_rounds):
         changed = False
         if schedule == "async":
-            for i in rng.permutation(n):
+            # a uniformly random order, drawn first mover first as
+            # cascade_simulate draws it, then the other agents permuted
+            first = rng.integers(n)
+            for i in itertools.chain([first], rng.permutation(
+                    np.delete(np.arange(n), first))):
                 resp = best_response(params, sigma_L,
                                      _mean_other_deviation(states, i, M))
                 if resp.kind is ResponseKind.INDIFFERENT:
