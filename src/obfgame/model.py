@@ -165,10 +165,6 @@ def _variance(params: GameParams, name: str, sigma):
     return sigma * sigma
 
 
-def _exp(x):
-    return math.exp(x) if isinstance(x, float) else np.exp(x)
-
-
 def _elementwise(f, *columns) -> np.ndarray:
     """f over the broadcast of the columns (numbers or arrays), called on
     Python numbers so that it rounds as on the scalar path, since numpy's log
@@ -181,18 +177,19 @@ def _elementwise(f, *columns) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-# One kernel per law, over unchecked variances v = sigma^2 (floats or arrays);
-# a public law that takes arrays runs it under _quiet.
+# One kernel per law, over unchecked variances v = sigma^2: math's exp and no
+# type test on floats, for callers that know their variances lie in [0, M^2].
+# The public laws run it under _quiet, the one place that detects arrays.
 
 def _quiet(kernel, params: GameParams, *v):
-    """kernel(params, *v), with numpy's overflow and divide warnings off if a
-    variance is an array: a level beyond the float range is inf, as on
-    floats, and the laws read exp(-inf) = 0."""
-    for x in v:
-        if not isinstance(x, float):
-            with np.errstate(over="ignore", divide="ignore"):
-                return kernel(params, *v)
-    return kernel(params, *v)
+    """kernel(params, *v) on Python floats; where a variance is anything else
+    (an array, or the numpy scalar of a 0-d one), with numpy's exp and its
+    overflow and divide warnings off: a level beyond the float range is inf,
+    as on floats, and the laws read exp(-inf) = 0."""
+    if all(type(x) is float for x in v):
+        return kernel(params, *v)
+    with np.errstate(over="ignore", divide="ignore"):
+        return kernel(params, *v, exp=np.exp)
 
 
 def _accuracy(weight: float, n: int, v_L, v_bar_other, v_S):
@@ -203,40 +200,38 @@ def _accuracy(weight: float, n: int, v_L, v_bar_other, v_S):
 
 def _privacy(params: GameParams, v_L, v_S):
     cv = params.conventions
-    total = v_L + v_S
-    if isinstance(total, float) and total == 0.0:
-        return math.inf
     try:
-        return cv.c_p * total**-cv.privacy_exponent
-    except OverflowError:  # a total below ~1e-308
+        return cv.c_p * (v_L + v_S)**-cv.privacy_exponent
+    except (OverflowError, ZeroDivisionError):  # a total 0 or below ~1e-308
         return math.inf
 
 
-def _privacy_loss(params: GameParams, v_L, v_S):
+def _privacy_loss(params: GameParams, v_L, v_S, exp=math.exp):
     """P_S (1 - exp(-eps_p)); exactly P_S at zero total noise."""
-    return params.P_S * (1.0 - _exp(-_privacy(params, v_L, v_S)))
+    return params.P_S * (1.0 - exp(-_privacy(params, v_L, v_S)))
 
 
-def _user(params: GameParams, v_L, v_bar_other, v_S):
+def _user(params: GameParams, v_L, v_bar_other, v_S, exp=math.exp):
     accuracy = _accuracy(params._weight, params.N, v_L, v_bar_other, v_S)
-    return (params.A_S * _exp(-accuracy) - _privacy_loss(params, v_L, v_S)
+    return (params.A_S * exp(-accuracy) - _privacy_loss(params, v_L, v_S, exp)
             - params.C_S * (v_S > 0))
 
 
-def _learner(params: GameParams, v_L, v_bar):
+def _learner(params: GameParams, v_L, v_bar, exp=math.exp):
     accuracy = _accuracy(params._weight, params.N, v_L, v_bar, v_bar)
-    return params.A_L * _exp(-accuracy) - params.C_L * (v_L > 0)
+    return params.A_L * exp(-accuracy) - params.C_L * (v_L > 0)
 
 
-def _abstain(params: GameParams, v_L, v_bar_other):
+def _abstain(params: GameParams, v_L, v_bar_other, exp=math.exp):
     accuracy = _accuracy(params._weight, params.N, v_L, v_bar_other, 0.0)
-    return params.A_S * _exp(-accuracy) + params.C_S
+    return params.A_S * exp(-accuracy) + params.C_S
 
 
-def _pressure_gap(params: GameParams, v_L, v_bar_other):
+def _pressure_gap(params: GameParams, v_L, v_bar_other, exp=math.exp):
     """Privacy pressure minus the abstain value: the user's strict rule is to
     obfuscate exactly where this is positive."""
-    return _privacy_loss(params, v_L, 0.0) - _abstain(params, v_L, v_bar_other)
+    return (_privacy_loss(params, v_L, 0.0, exp)
+            - _abstain(params, v_L, v_bar_other, exp))
 
 
 def accuracy_level(params: GameParams, sigma_L, sigma_bar_other, sigma_S):
@@ -245,8 +240,8 @@ def accuracy_level(params: GameParams, sigma_L, sigma_bar_other, sigma_S):
     Equals c_g * kappa * (sigma_L^2 + ((N-1)/N) sigma_bar_other^2
     + (1/N) sigma_S^2); zero at zero noise.
     """
-    return _quiet(lambda p, *v: _accuracy(p._weight, p.N, *v), params,
-                  _variance(params, "sigma_L", sigma_L),
+    return _quiet(lambda p, *v, exp=None: _accuracy(p._weight, p.N, *v),
+                  params, _variance(params, "sigma_L", sigma_L),
                   _variance(params, "sigma_bar_other", sigma_bar_other),
                   _variance(params, "sigma_S", sigma_S))
 
@@ -257,7 +252,8 @@ def privacy_level(params: GameParams, sigma_L, sigma_S):
     c_p * (sigma_L^2 + sigma_S^2) ** -privacy_exponent; math.inf at zero
     total noise (no randomness, unbounded leakage).
     """
-    return _quiet(_privacy, params, _variance(params, "sigma_L", sigma_L),
+    return _quiet(lambda p, *v, exp=None: _privacy(p, *v), params,
+                  _variance(params, "sigma_L", sigma_L),
                   _variance(params, "sigma_S", sigma_S))
 
 

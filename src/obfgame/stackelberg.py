@@ -26,9 +26,9 @@ from .model import (
     _derived_kappa,
     _elementwise,
     _learner,
+    _user,
     kappa,
     learner_utility,
-    user_utility,
 )
 
 __all__ = [
@@ -184,8 +184,12 @@ def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
                            ) -> float | np.ndarray:
     """Exact leader payoff at a promise (or an array of promises), with the
     users at gamma(sigma_L), decided per promise on Python floats: M where
-    privacy pressure exceeds the abstain value, else 0."""
-    return learner_utility(params, sigma_L, gamma(params, sigma_L))
+    privacy pressure exceeds the abstain value, else 0 (gamma checks that
+    the promise lies in [0, M], so a float takes the learner's kernel)."""
+    crowd = gamma(params, sigma_L)
+    if isinstance(sigma_L, (float, int)):
+        return _learner(params, float(sigma_L) * sigma_L, crowd * crowd)
+    return learner_utility(params, sigma_L, crowd)
 
 
 def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
@@ -319,17 +323,16 @@ def sg_equilibrium(params: GameParams) -> float:
 def _report(params: GameParams, closed_form, sigma_L: float = math.nan,
             sigma_bar: float = math.nan) -> EquilibriumReport:
     """The report of _closed_form's result, flagged Boundary where it gives
-    a reason; without an equilibrium (sigma_L nan) its values are nan."""
+    a reason, with the kernels' utilities: sigma_L is 0 or a tau_hat checked
+    against M, sigma_bar 0 or M, and both nan without an equilibrium."""
     cond, reason, regime, th = closed_form
-    solved = not math.isnan(sigma_L)
+    v_L, v_bar = sigma_L * sigma_L, sigma_bar * sigma_bar
     return EquilibriumReport(
         sigma_L_dagger=sigma_L,
         sigma_bar_dagger=sigma_bar,
         regime=regime if reason is None else EquilibriumRegime.BOUNDARY,
-        learner_utility_at_eq=(learner_utility(params, sigma_L, sigma_bar)
-                               if solved else math.nan),
-        user_utility_at_eq=(user_utility(params, sigma_L, sigma_bar, sigma_bar)
-                            if solved else math.nan),
+        learner_utility_at_eq=_learner(params, v_L, v_bar),
+        user_utility_at_eq=_user(params, v_L, v_bar, v_bar),
         thresholds=th,
         conditions=cond,
         boundary_reason=reason,
@@ -360,12 +363,13 @@ def _verify_leader_optimality(params: GameParams, report: EquilibriumReport):
     leader utility U on [0, M] (the report's U_L is U at its promise) and
     return that optimum as (sigma_L, utility).  Between crossings the crowd
     is constant and U falls in sigma_L, so the sup is U(0) or U(tau_exact),
-    where the crowd is deterred (in the status quo tau_exact is None and
-    U(0) = A_L).  The promise may fall short of it by the closed form's two
-    approximations: it values full obfuscation at 0, not
-    A_L exp(-c_g kappa M^2), and it decides at tau_hat (inf where absent),
-    where a promise pays L = A_L exp(-c_g kappa tau_hat^2) - C_L.  Tie rows
-    (Boundary, no promise) count L at most 0, as kappa ties go to no promise."""
+    where the crowd is deterred (pbne_solve skips the search for tau_exact
+    only where the crowd abstains at 0, so that U(0) = A_L).  The promise
+    may fall short of it by the closed form's two approximations: it values
+    full obfuscation at 0, not A_L exp(-c_g kappa M^2), and it decides at
+    tau_hat (inf where absent), where a promise pays
+    L = A_L exp(-c_g kappa tau_hat^2) - C_L.  Tie rows (Boundary, no
+    promise) count L at most 0, as kappa ties go to no promise."""
     sigma_dagger, closed = report.sigma_L_dagger, report.learner_utility_at_eq
     th = report.thresholds
     arg, sup = 0.0, induced_leader_utility(params, 0.0)
@@ -397,10 +401,10 @@ def pbne_solve(params: GameParams) -> EquilibriumReport:
     promise, as the abstain value falls when the crowd's variance grows."""
     cond, reason, regime, th = _closed_form(params)
     sigma_dagger = _promise(params, regime, th.tau_hat)
-    if regime is not EquilibriumRegime.STATUS_QUO:
+    crowd = gamma(params, sigma_dagger)
+    if regime is not EquilibriumRegime.STATUS_QUO or crowd:
         th = _with_exact(params, th)
-    report = _report(params, (cond, reason, regime, th), sigma_dagger,
-                     gamma(params, sigma_dagger))
+    report = _report(params, (cond, reason, regime, th), sigma_dagger, crowd)
     optimum = _verify_leader_optimality(params, report)
     if sigma_dagger > 0 and report.sigma_bar_dagger != 0:
         raise InconsistencyError(

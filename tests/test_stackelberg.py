@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -34,8 +35,9 @@ from obfgame import (
     tau_hat,
     threshold_crossings,
     thresholds,
+    user_utility,
 )
-from obfgame import crossings, stackelberg
+from obfgame import crossings, model, stackelberg
 from obfgame.mfg import INDIFFERENCE_TOL
 from obfgame.model import _pressure_gap
 from obfgame.stackelberg import _verify_leader_optimality
@@ -738,6 +740,34 @@ class TestLeaderCertificate:
         assert info.value.exact == pytest.approx(
             (tau_exact(params), 0.6282826312646095), rel=1e-12)
 
+    @pytest.mark.parametrize("fault", ["FullObfuscation row", "half tau_hat",
+                                       "StatusQuo label"])
+    def test_certificate_catches_a_wrong_closed_form(self, monkeypatch,
+                                                      fault):
+        # a PrivacyPromise game in the default conventions, with the closed
+        # form replaced by a wrong one; the last leaves no promise, and as
+        # the crowd obfuscates at 0 the certificate must still search for
+        # tau_exact, where a promise pays 1.871 against ~2.8e-11
+        params = make_params(C_L=0.1, A_S=1.0, P_S=3.0, C_S=0.5)
+        cond, reason, regime, th = stackelberg._closed_form(params)
+        assert (regime, reason) == (EquilibriumRegime.PRIVACY_PROMISE, None)
+        assert th.tau_hat == 2.3419681782097466
+        assert tau_exact(params) == 1.209559348721365
+        wrong = {
+            "FullObfuscation row": (cond, reason,
+                                    EquilibriumRegime.FULL_OBFUSCATION, th),
+            "half tau_hat": (cond, reason, regime, dataclasses.replace(
+                th, tau_hat=0.5 * th.tau_hat)),
+            "StatusQuo label": (cond, reason, EquilibriumRegime.STATUS_QUO,
+                                th),
+        }[fault]
+        monkeypatch.setattr(stackelberg, "_closed_form", lambda p: wrong)
+        with pytest.raises(InconsistencyError) as info:
+            pbne_solve(params)
+        assert info.value.exact == (1.209559348721365, 1.8709523303815567)
+        assert info.value.closed_form[0] == (
+            0.5 * th.tau_hat if fault == "half tau_hat" else 0.0)
+
     def test_kappa_tie_without_promise_solves(self):
         # kappa = ln 6 ln 2, the promise threshold: the tie goes to no
         # promise, and the certificate counts tau_hat's payoff as at most 0
@@ -1040,3 +1070,89 @@ class TestCrossingsOnWideDraws:
         utility = max([induced_leader_utility(params, np.array(grid)).max(),
                        *(induced_leader_utility(params, r) for r in roots)])
         assert sup >= utility - 1e-12 * params.A_L
+
+
+def bench_solve_draws(count, seed=0):
+    """Draws over the ranges of the benchmark's solve batch (bench/
+    workloads.py), uniform rather than stratified: every regime and N from 2
+    to 5,000, with M = max(10 tau_hat, 32)."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        A_S, C_S = rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5)
+        P_S = (A_S + C_S) * rng.uniform(0.5, 3.0)
+        tau = (math.sqrt(1.0 / math.log(P_S / (P_S - C_S)))
+               if P_S > C_S else 0.0)
+        draws.append(GameParams(
+            A_L=rng.uniform(0.5, 4.0), C_L=rng.uniform(0.05, 2.0), A_S=A_S,
+            P_S=P_S, C_S=C_S, rho=rng.uniform(0.5, 2.0),
+            N=int(rng.uniform(2, 5001)), M=max(10.0 * tau, 32.0)))
+    return draws
+
+
+def same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+def assert_kernels_are_the_public_laws(params):
+    """The utilities the report takes from the kernels, and the induced
+    leader utility at a float promise, equal the public laws bit for bit."""
+    reports = []
+    for solve in (classify_regime, pbne_solve):
+        try:
+            reports.append(solve(params))
+        except (InfeasiblePromiseError, InconsistencyError):
+            pass
+    for report in reports:
+        sigma, crowd = report.sigma_L_dagger, report.sigma_bar_dagger
+        if math.isnan(sigma):  # a Boundary row of classify_regime
+            assert math.isnan(report.learner_utility_at_eq)
+            assert math.isnan(report.user_utility_at_eq)
+            continue
+        assert same_bits(report.learner_utility_at_eq,
+                         learner_utility(params, sigma, crowd))
+        assert same_bits(report.user_utility_at_eq,
+                         user_utility(params, sigma, crowd, crowd))
+    th = thresholds(params)
+    for sigma in (0.0, th.tau_hat, th.tau_exact, params.M):
+        if sigma is not None and sigma <= params.M:
+            assert same_bits(
+                induced_leader_utility(params, sigma),
+                learner_utility(params, sigma, gamma(params, sigma)))
+
+
+class TestKernelPath:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(params=wide_params())
+    def test_kernels_are_the_public_laws_on_wide_draws(self, params):
+        assert_kernels_are_the_public_laws(params)
+
+    def test_kernels_are_the_public_laws_on_bench_draws(self):
+        for params in bench_solve_draws(300):
+            assert_kernels_are_the_public_laws(params)
+
+    def test_solve_calls_no_public_law(self, monkeypatch):
+        # the report and the certificate evaluate the kernels on variances
+        # whose range is known, so neither the public laws nor _quiet run
+        calls = collections.Counter()
+
+        def spy(module, name):
+            law = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[f"{module.__name__}.{name}"] += 1
+                return law(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in [(model, "_quiet"), (model, "learner_utility"),
+                             (model, "user_utility"),
+                             (stackelberg, "learner_utility")]:
+            spy(module, name)
+        regimes = {pbne_solve(params).regime
+                   for params in bench_solve_draws(200, seed=1)}
+        assert len(regimes) >= 3
+        assert calls == {}
+        # the spies are live: an array of promises still takes the public law
+        induced_leader_utility(make_params(), np.array([0.0, 1.0]))
+        assert calls == {"obfgame.stackelberg.learner_utility": 1,
+                         "obfgame.model._quiet": 1}
