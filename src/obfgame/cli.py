@@ -329,7 +329,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
                             else (name, key))
             try:
                 values[key] = convert(value)
-            except (ConfigError, ValueError):
+            except ValueError:
                 _usage_error(f"argument {name} {metavar}: "
                              f"invalid value {value!r}")
         elif command is None and arg in COMMANDS:
@@ -356,8 +356,8 @@ def main(argv: list[str] | None = None) -> int:
                "br-curve": run_br_curve, "cascade": run_cascade,
                "validate": run_validate}[command]
         return run(config, Path(config.get("output.dir")))
-    except (ConfigError, ValueError) as exc:
-        # every ValueError here stems from a config-supplied value
+    except ValueError as exc:
+        # every ValueError here (a ConfigError too) stems from a config value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

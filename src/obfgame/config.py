@@ -128,11 +128,7 @@ class RunConfig:
     entries: dict[str, object]
 
     def get(self, key: str):
-        if key in self.entries:
-            return self.entries[key]
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        return None
+        return self.entries.get(key, DEFAULTS.get(key))
 
     def require(self, key: str):
         value = self.get(key)
@@ -141,20 +137,13 @@ class RunConfig:
         return value
 
     def conventions(self) -> ModelConventions:
-        given = {key.removeprefix("conventions."): value
-                 for key, value in self.entries.items()
-                 if key.startswith("conventions.")}
-        try:
-            return ModelConventions(**given)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ModelConventions(**{key.removeprefix("conventions."): value
+                                   for key, value in self.entries.items()
+                                   if key.startswith("conventions.")})
 
     def game_params(self) -> GameParams:
         values = {name: self.require(f"game.{name}") for name in GAME_FIELDS}
-        try:
-            return GameParams(conventions=self.conventions(), **values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return GameParams(conventions=self.conventions(), **values)
 
     def sweep_grids(self) -> dict[str, np.ndarray]:
         """name -> np.linspace grid of each swept game field, in name order;

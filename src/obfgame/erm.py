@@ -59,6 +59,15 @@ class Dataset:
         return self.features.shape[0]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a size or count that is not an int (Python's or numpy's, and
+    not a bool) or that is below ``least``, before it sizes an array."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Gaussian class-conditional generator: features N(y * mu, I) with
@@ -68,8 +77,7 @@ class GeneratorSpec:
     separation: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        _check_count("d", self.d, 1)
         if not (math.isfinite(self.separation) and self.separation >= 0):
             raise ValueError(f"separation must be finite and non-negative, "
                              f"got {self.separation!r}")
@@ -165,8 +173,7 @@ def generate_synthetic(n: int, d: int, separation: float,
                        rng_seed: int) -> Dataset:
     """Draw n labeled points: labels uniform on {-1, +1}, features Gaussian
     with mean y * (separation, 0, ..., 0) and identity covariance."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_count("n", n, 2)
     spec = GeneratorSpec(d, separation)
     rng = np.random.default_rng(rng_seed)
     labels = rng.choice((-1.0, 1.0), size=n)
@@ -295,8 +302,7 @@ def excess_risk(f_d: Classifier, f_star: Classifier, config: ErmConfig,
                 gen: GeneratorSpec, n_eval: int, rng_seed: int) -> ExcessRisk:
     """Paired Monte-Carlo estimate of the clean expected regularized loss gap
     between f_d and f_star, with the paired-sample standard error."""
-    if n_eval < 1000:
-        raise ValueError("n_eval must be >= 1000")
+    _check_count("n_eval", n_eval, 1000)
     data = generate_synthetic(n_eval, gen.d, gen.separation, rng_seed)
     losses = _softplus(-data.labels[:, None] * (
         data.features @ np.stack([f_d.weights, f_star.weights], axis=1)))
@@ -341,8 +347,7 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
     for name, value, least in (("n_records", n_records, 2),
                                ("replications", replications, 10),
                                ("n_eval", n_eval, 1000), ("n_ref", n_ref, 2)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
+        _check_count(name, value, least)
     if operator.index(rng_seed) < 0:  # as np.random.SeedSequence refuses
         raise ValueError(f"rng_seed={rng_seed} must be a non-negative integer")
     if len(aggregates) < 4:

@@ -18,8 +18,8 @@ class ObfGameError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(ObfGameError):
-    """Malformed or incomplete run configuration (CLI exit status 2)."""
+class ConfigError(ObfGameError, ValueError):
+    """Malformed or incomplete run configuration (CLI exit 2): a ValueError."""
 
 
 class UndefinedThresholdError(ObfGameError):

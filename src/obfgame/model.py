@@ -19,6 +19,7 @@ combined variance that protects one record.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -98,9 +99,9 @@ class GameParams:
 
 
 def _is_count(N) -> bool:
-    """An integer N >= 1: an int other than a bool, or an integral float."""
-    return (not isinstance(N, bool)
-            and (not isinstance(N, float) or N.is_integer()) and N >= 1)
+    """An integer N >= 1: an int, or an integral real other than a bool."""
+    return (type(N) is int or isinstance(N, numbers.Real)
+            and not isinstance(N, bool) and float(N).is_integer()) and N >= 1
 
 
 _FLOATS = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M")

@@ -271,7 +271,7 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
     read, with N an int as in GameParams: sigma_L = 0 and the crowd at M on
     FullObfuscation rows (M, rho, N, c_g), sigma_L = tau_hat alone on
     PrivacyPromise rows (those and P_S, C_S), and 1 on the other rows."""
-    _check_fields({name: np.ravel(column).tolist() for name, column in zip(
+    _check_fields({name: np.ravel(column) for name, column in zip(
         ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "N", "M"),
         (A_L, C_L, A_S, P_S, C_S, rho, N, M))})
     scale = _elementwise(_derived_kappa, M, rho, N, conventions.c_g)
@@ -285,15 +285,19 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
         -_accuracy(w, int(n), t * t, 0.0, 0.0)), weight, N, tau_h)
     with np.errstate(invalid="ignore", over="ignore"):
         threshold = np.where(privacy_log == 0, 0.0, log_benefit * privacy_log)
-        row, surplus_band, kappa_band = _table(P_S - C_S, A_S, scale,
-                                               threshold)
-        regime = np.where(surplus_band | kappa_band, 3, row)
-        kind = np.where((regime == 2) & (tau_h > M), 4, regime)
-        retained = np.where(kind == 1, full,
-                            np.where(kind == 2, promised, 1.0))
-        utility = A_L * retained - C_L * (kind == 2)
-    return (kind, np.where(np.isfinite(tau_h), tau_h, math.nan),
-            np.where(kind < 3, utility, math.nan))
+        kind, surplus_band, kappa_band = _table(P_S - C_S, A_S, scale,
+                                                threshold)
+        # one array per output, patched in place (object fields' products
+        # are cast back to float)
+        kind = np.where(surplus_band | kappa_band, 3, kind)
+        np.copyto(kind, 4, where=(kind == 2) & (tau_h > M))
+        utility = np.where(kind == 2, promised, 1.0)
+        np.copyto(utility, full, where=kind == 1)
+        np.multiply(A_L, utility, utility, casting="unsafe")
+        np.subtract(utility, C_L, utility, where=kind == 2, casting="unsafe")
+        np.copyto(utility, math.nan, where=kind > 2)
+        np.copyto(tau_h, math.nan, where=~np.isfinite(tau_h))
+    return kind, tau_h, utility
 
 
 def _promise(params: GameParams, regime: EquilibriumRegime,

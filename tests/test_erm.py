@@ -26,6 +26,13 @@ from obfgame.erm import _newton, _per_user_stds, _softplus, _task_seed
 
 
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, np.True_],
+                             ids=["2.5", "2.0", "True", "np.True_"])
+    def test_generator_refuses_a_dimension_that_is_no_int(self, d):
+        with pytest.raises(ValueError, match=re.escape(
+                f"d must be an integer, got {d!r}")):
+            GeneratorSpec(d, 1.0)
+
     def test_no_signal_means_tiny_optimum(self):
         data = generate_synthetic(2000, 3, 0.0, rng_seed=42)
         fit = erm_fit(data, ErmConfig(rho=0.1))
@@ -410,6 +417,26 @@ class TestScalingExperiment:
             scaling_experiment(GeneratorSpec(3, 1.0), 100, ErmConfig(rho=0.1),
                                [0.0, 0.5, 1.0, 2.0], replications=10,
                                rng_seed=0, n_eval=n_eval, n_ref=n_ref)
+
+    # a count that is no int would size an array later, or a float reach the
+    # replication loop after the 100,000-record reference fit
+    @pytest.mark.parametrize("count", [
+        dict(replications=10.5), dict(n_ref=2000.5), dict(n_eval=1000.0),
+        dict(n_records=100.0)], ids=lambda count: next(iter(count)))
+    def test_rejects_ill_typed_counts_before_drawing(self, monkeypatch,
+                                                     count):
+        def no_draw(*args):
+            raise AssertionError("drew before the counts were checked")
+        monkeypatch.setattr(erm, "_newton", no_draw)
+        monkeypatch.setattr(erm, "generate_synthetic", no_draw)
+        (name, value), = count.items()
+        sizes = dict(n_records=100, replications=10, n_eval=1000, n_ref=2000)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            scaling_experiment(GeneratorSpec(3, 1.0),
+                               config=ErmConfig(rho=0.1),
+                               aggregates=[0.0, 0.5, 1.0, 2.0], rng_seed=0,
+                               **{**sizes, **count})
 
     @pytest.mark.parametrize("carriers", [0, 100])
     def test_rejects_bad_carriers_before_fitting(self, monkeypatch, carriers):

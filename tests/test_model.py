@@ -4,6 +4,7 @@ import math
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -364,6 +365,17 @@ class TestValidation:
             make_params(N=0)
         with pytest.raises(ValueError):
             make_params(N=2.5)
+
+    def test_counts_are_integral_reals(self):
+        # numpy's bool is no more a count than True is, and a numpy float or
+        # a Fraction is one where it is integral, as a float is
+        for N in (np.True_, np.float32(2.5), np.float16(1.5), Fraction(5, 2)):
+            with pytest.raises(ValueError,
+                               match="^N must be an integer >= 1$"):
+                make_params(N=N)
+        for N in (np.int64(3), np.float32(3.0), np.uint8(3), Fraction(3, 1)):
+            N = make_params(N=N).N
+            assert type(N) is int and N == 3
 
     # an int beyond the float range is not finite either
     @pytest.mark.parametrize("field, value", [

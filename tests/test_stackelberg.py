@@ -850,19 +850,33 @@ class TestClosedFormColumns:
             conventions=ModelConventions(), **fields)
         assert np.count_nonzero((kind == 1) & (utility > 0)) > 100
 
-    def test_columns_spanned_by_one_field_build_no_lists(self):
-        # C_L alone at 10^5 steps: each law holds one object array over its
-        # own shape, not a list per column (9.2 MiB with those lists)
-        C_L = np.linspace(0.05, 2.5, 10**5)
+    @staticmethod
+    def traced_peak(**columns) -> int:
+        """The tracemalloc peak of the column form over these columns."""
         tracemalloc.start()
         try:
             stackelberg._closed_form_columns(
-                A_L=2.0, C_L=C_L, A_S=0.5, P_S=2.0, C_S=1.0, rho=1.0, N=100,
-                M=50.0, conventions=ModelConventions())
-            _, peak = tracemalloc.get_traced_memory()
+                **{**dict(A_L=2.0, C_L=1.0, A_S=0.5, P_S=2.0, C_S=1.0,
+                          rho=1.0, N=100, M=50.0), **columns},
+                conventions=ModelConventions())
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+
+    def test_columns_spanned_by_one_field_build_no_lists(self):
+        # C_L alone at 10^5 steps: each law holds one object array over its
+        # own shape, and the field check reads the column without a list of
+        # it (3.8 MiB; 6.4 MiB with that list and a grid array per step)
+        peak = self.traced_peak(C_L=np.linspace(0.05, 2.5, 10**5))
+        assert peak < 5 * 2**20
+
+    def test_grid_builds_one_array_per_output(self):
+        # P_S x C_L x N at 100^3: kind and U_L are one grid array each,
+        # patched in place (23 MiB; 48 MiB with a grid array per step)
+        P_S, C_L, N = np.ix_(np.linspace(0.5, 5.0, 100),
+                             np.linspace(0.05, 2.5, 100),
+                             np.arange(1.0, 101.0))
+        assert self.traced_peak(P_S=P_S, C_L=C_L, N=N) < 32 * 2**20
 
     def test_one_table_for_floats_and_columns(self):
         # (surplus, A_S, kappa, threshold) -> (row, surplus band, kappa
