@@ -24,6 +24,7 @@ from . import dp, erm, mfg, stackelberg
 from .config import _SCHEMA, GAME_FIELDS, RunConfig, parse_config
 from .errors import ConfigError, InconsistencyError, ObfGameError
 from .model import GameParams
+from .stackelberg import _FULL, _INFEASIBLE, _PROMISE
 
 ERM_R_SQUARED_THRESHOLD = 0.9
 DP_RELATIVE_DEVIATION_THRESHOLD = 1e-12
@@ -97,7 +98,6 @@ KIND_CELLS = np.array([
     + [",Infeasible"],
     [",0.0", ",0.0", None, ",nan", ",nan"],
     [",0.0", None, ",0.0", ",nan", ",nan"]], dtype=object)
-_FULL, _PROMISE, _INFEASIBLE = 1, 2, 4
 SWEEP_CHUNK_ROWS = 1 << 16
 
 

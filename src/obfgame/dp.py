@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InfiniteLeakageError
+from .errors import InfiniteLeakageError, _check_positive
 
 __all__ = [
     "DpSpec",
@@ -33,9 +33,7 @@ class DpSpec:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not (math.isfinite(self.sensitivity) and self.sensitivity > 0):
-            raise ValueError(f"sensitivity must be finite and positive, "
-                             f"got {self.sensitivity}")
+        _check_positive("sensitivity", self.sensitivity)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateRegressionError
+from .errors import DegenerateRegressionError, _check_count, _check_positive
 
 __all__ = [
     "Dataset",
@@ -59,15 +58,6 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a size or count that is not an int (Python's or numpy's, and
-    not a bool) or that is below ``least``, before it sizes an array."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Gaussian class-conditional generator: features N(y * mu, I) with
@@ -107,14 +97,9 @@ class ErmConfig:
     grad_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if type(self.max_iters) is not int or self.max_iters < 0:
-            raise ValueError(
-                f"max_iters must be an int >= 0, got {self.max_iters!r}")
-        for name in ("rho", "grad_tolerance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
+        _check_count("max_iters", self.max_iters, 0)
+        _check_positive("rho", self.rho)
+        _check_positive("grad_tolerance", self.grad_tolerance)
 
 
 @dataclass
@@ -319,9 +304,9 @@ def _per_user_stds(v: float, n_records: int,
     variance mass v n spread evenly over the other n - 1 records
     (carriers=None) or over the first ``carriers`` of them.  The tracked user
     (row 0) adds no noise, so v = sum(stds^2) / n under either layout."""
-    if carriers is None:
-        carriers = n_records - 1
-    elif not 1 <= carriers <= n_records - 1:
+    carriers = n_records - 1 if carriers is None else carriers
+    _check_count("carriers", carriers, 1)
+    if carriers > n_records - 1:
         raise ValueError("carriers must lie in [1, n_records - 1]")
     stds = np.zeros(n_records)
     stds[1:carriers + 1] = math.sqrt(v * n_records / carriers)
@@ -346,10 +331,9 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
     """
     for name, value, least in (("n_records", n_records, 2),
                                ("replications", replications, 10),
-                               ("n_eval", n_eval, 1000), ("n_ref", n_ref, 2)):
+                               ("n_eval", n_eval, 1000), ("n_ref", n_ref, 2),
+                               ("rng_seed", rng_seed, 0)):
         _check_count(name, value, least)
-    if operator.index(rng_seed) < 0:  # as np.random.SeedSequence refuses
-        raise ValueError(f"rng_seed={rng_seed} must be a non-negative integer")
     if len(aggregates) < 4:
         raise ValueError("at least 4 noise levels are required")
     v_values = np.array(aggregates, dtype=float)

@@ -1,6 +1,9 @@
-"""Semantic exceptions shared across the package."""
+"""Semantic exceptions and the refusal rules shared across the package."""
 
 from __future__ import annotations
+
+import math
+import numbers
 
 __all__ = [
     "ObfGameError",
@@ -70,3 +73,18 @@ class InfiniteLeakageError(ObfGameError, ValueError):
 class DegenerateRegressionError(ObfGameError, ValueError):
     """The scaling regression has no spread in its explanatory variable.  A
     ValueError, so that the CLI treats it as a config error."""
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count or seed that is not an integer (Python's or numpy's,
+    not a bool) or that is below ``least``, before it sizes or seeds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a constant that is not finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .errors import _check_count
 from .model import (GameParams, _elementwise, _pressure_gap, _variance,
                     user_utility)
 
@@ -123,8 +123,7 @@ def best_response_oracle(params: GameParams, sigma_L: float,
     (0, M].  Returns every grid point within ORACLE_TIE_TOL of the maximum;
     an interior point signals that the corner characterization's asymptotic
     assumptions do not hold at these parameters."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+    _check_count("grid_size", grid_size, 2)
     grid = np.concatenate(
         ([0.0], np.linspace(params.M / grid_size, params.M, grid_size)))
     util = user_utility(params, sigma_L, sigma_bar_other, grid)
@@ -186,12 +185,10 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     """
     if not 0.0 <= seed_fraction <= 1.0:
         raise ValueError("seed_fraction must lie in [0, 1]")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    _check_count("max_rounds", max_rounds, 1)
     if schedule not in ("async", "sync"):
         raise ValueError("schedule must be 'async' or 'sync'")
-    if operator.index(rng_seed) < 0:  # as np.random.default_rng refuses
-        raise ValueError(f"rng_seed={rng_seed} must be a non-negative integer")
+    _check_count("rng_seed", rng_seed, 0)
 
     n, M = params.N, params.M
     k = bisect.bisect_left(range(n + 1), seed_fraction, key=lambda k: k / n)
@@ -232,7 +229,6 @@ def br_curve(params: GameParams, sigma_L: float,
              n_points: int) -> list[tuple[float, BestResponse]]:
     """best_response at n_points crowd levels spread uniformly over [0, M]
     (Python floats); suitable for plotting response diagrams."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    _check_count("n_points", n_points, 2)
     return [(s, best_response(params, sigma_L, s))
             for s in np.linspace(0.0, params.M, n_points).tolist()]

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_positive
+
 __all__ = [
     "ModelConventions",
     "GameParams",
@@ -54,11 +56,8 @@ class ModelConventions:
     privacy_exponent: float = 1.0
 
     def __post_init__(self):
-        for name in ("c_g", "c_p"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
+        _check_positive("c_g", self.c_g)
+        _check_positive("c_p", self.c_p)
         if self.privacy_exponent not in (0.5, 1.0):
             raise ValueError("privacy_exponent must be 0.5 or 1.0")
 

@@ -182,14 +182,15 @@ def thresholds(params: GameParams) -> Thresholds:
 
 def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
                            ) -> float | np.ndarray:
-    """Exact leader payoff at a promise (or an array of promises), with the
-    users at gamma(sigma_L), decided per promise on Python floats: M where
-    privacy pressure exceeds the abstain value, else 0 (gamma checks that
-    the promise lies in [0, M], so a float takes the learner's kernel)."""
-    crowd = gamma(params, sigma_L)
+    """Exact leader payoff at a promise, or at each of an array of promises
+    on Python floats, with the users at gamma(sigma_L): M where privacy
+    pressure exceeds the abstain value, else 0 (gamma checks that the
+    promise lies in [0, M], so a float takes the learner's kernel)."""
     if isinstance(sigma_L, (float, int)):
+        crowd = gamma(params, sigma_L)
         return _learner(params, float(sigma_L) * sigma_L, crowd * crowd)
-    return learner_utility(params, sigma_L, crowd)
+    return _elementwise(
+        lambda sigma: induced_leader_utility(params, float(sigma)), sigma_L)
 
 
 def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
@@ -222,6 +223,8 @@ def _table(surplus, A_S, kappa, threshold):
 
 
 _REGIMES = tuple(EquilibriumRegime)
+# the column form's row kinds: indices into _REGIMES, then Infeasible
+_FULL, _PROMISE, _BOUNDARY, _INFEASIBLE = 1, 2, 3, 4
 
 
 def _closed_form(params: GameParams) -> tuple[
@@ -260,9 +263,9 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
     """classify_regime over a grid, each field a number or an array
     (broadcast against the others; a float field takes floats).  Raises
     ValueError where GameParams refuses a point.  Returns arrays over the
-    broadcast grid: the row kind (an index into EquilibriumRegime, or 4 for
-    Infeasible: a promise above M), tau_hat (nan where the record has none)
-    and the leader utility at the equilibrium (nan on Boundary and
+    broadcast grid: the row kind (an index into EquilibriumRegime, or
+    _INFEASIBLE: a promise above M), tau_hat (nan where the record has
+    none) and the leader utility at the equilibrium (nan on Boundary and
     Infeasible points).  Scalar laws run elementwise on Python numbers, each
     on the fewest fields it reads, and numpy does only +, -, *, /,
     comparisons and selections in _closed_form's order, so every value is
@@ -289,13 +292,14 @@ def _closed_form_columns(A_L, C_L, A_S, P_S, C_S, rho, N, M,
                                                 threshold)
         # one array per output, patched in place (object fields' products
         # are cast back to float)
-        kind = np.where(surplus_band | kappa_band, 3, kind)
-        np.copyto(kind, 4, where=(kind == 2) & (tau_h > M))
-        utility = np.where(kind == 2, promised, 1.0)
-        np.copyto(utility, full, where=kind == 1)
+        kind = np.where(surplus_band | kappa_band, _BOUNDARY, kind)
+        np.copyto(kind, _INFEASIBLE, where=(kind == _PROMISE) & (tau_h > M))
+        utility = np.where(kind == _PROMISE, promised, 1.0)
+        np.copyto(utility, full, where=kind == _FULL)
         np.multiply(A_L, utility, utility, casting="unsafe")
-        np.subtract(utility, C_L, utility, where=kind == 2, casting="unsafe")
-        np.copyto(utility, math.nan, where=kind > 2)
+        np.subtract(utility, C_L, utility, where=kind == _PROMISE,
+                    casting="unsafe")
+        np.copyto(utility, math.nan, where=kind >= _BOUNDARY)
         np.copyto(tau_h, math.nan, where=~np.isfinite(tau_h))
     return kind, tau_h, utility
 

@@ -221,9 +221,9 @@ class TestErmFit:
 class TestErmConfig:
     @pytest.mark.parametrize("max_iters", [-1, 2.5, True, "3"])
     def test_rejects_bad_max_iters(self, max_iters):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"max_iters must be an int >= 0, "
-                                           f"got {max_iters!r}")):
+        message = ("max_iters must be >= 0" if max_iters == -1 else
+                   f"max_iters must be an integer, got {max_iters!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             ErmConfig(rho=0.1, max_iters=max_iters)
 
     def test_zero_max_iters_stops_at_origin(self):
@@ -444,6 +444,7 @@ class TestScalingExperiment:
             raise AssertionError("fitted before the carriers were checked")
         monkeypatch.setattr(erm, "_newton", no_fit)
         with pytest.raises(ValueError, match=re.escape(
+                "carriers must be >= 1" if carriers < 1 else
                 "carriers must lie in [1, n_records - 1]")):
             scaling_experiment(GeneratorSpec(3, 1.0), 100, ErmConfig(rho=0.1),
                                [0.0, 0.5, 1.0, 2.0], replications=10,

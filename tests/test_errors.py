@@ -1,0 +1,97 @@
+"""Every count and seed that a library entry point takes is refused by one
+rule, ``errors._check_count``: a value that is no integer, or a bool, is
+refused as such, a value below the least is refused with its bound, and a
+numpy int is accepted.  Each refusal comes before anything is drawn or
+fitted."""
+
+import re
+
+import numpy as np
+import pytest
+
+from obfgame import (
+    Classifier,
+    ErmConfig,
+    GameParams,
+    GeneratorSpec,
+    best_response_oracle,
+    br_curve,
+    cascade_simulate,
+    excess_risk,
+    generate_synthetic,
+    scaling_experiment,
+)
+from obfgame import erm, mfg
+
+PARAMS = GameParams(A_L=2.0, C_L=1.0, A_S=1.0, P_S=2.0, C_S=1.0, rho=1.0,
+                    N=100, M=50.0)
+GEN, CONFIG = GeneratorSpec(3, 1.0), ErmConfig(rho=0.1)
+ZERO = Classifier(np.zeros(3))
+
+
+def _scaling(name):
+    sizes = dict(n_records=100, replications=10, n_eval=1000, n_ref=2000,
+                 rng_seed=0)
+    return lambda value: scaling_experiment(
+        GEN, config=CONFIG, aggregates=[0.0, 0.5, 1.0, 2.0],
+        **{**sizes, name: value})
+
+
+# (entry point, parameter, its least value, a call that passes the value as
+# that parameter and a valid value for every other)
+COUNTS = [
+    ("GeneratorSpec", "d", 1, lambda d: GeneratorSpec(d, 1.0)),
+    ("generate_synthetic", "n", 2, lambda n: generate_synthetic(n, 3, 1.0, 0)),
+    ("excess_risk", "n_eval", 1000,
+     lambda n: excess_risk(ZERO, ZERO, CONFIG, GEN, n, 0)),
+    *[("scaling_experiment", name, least, _scaling(name))
+      for name, least in [("n_records", 2), ("replications", 10),
+                          ("n_eval", 1000), ("n_ref", 2), ("carriers", 1),
+                          ("rng_seed", 0)]],
+    ("ErmConfig", "max_iters", 0, lambda m: ErmConfig(rho=0.1, max_iters=m)),
+    ("cascade_simulate", "max_rounds", 1,
+     lambda m: cascade_simulate(PARAMS, 1.0, 0.0, max_rounds=m)),
+    ("cascade_simulate", "rng_seed", 0,
+     lambda s: cascade_simulate(PARAMS, 1.0, 0.0, rng_seed=s)),
+    ("br_curve", "n_points", 2, lambda n: br_curve(PARAMS, 1.0, n)),
+    ("best_response_oracle", "grid_size", 2,
+     lambda g: best_response_oracle(PARAMS, 1.0, 0.0, g)),
+]
+IDS = [f"{where}.{name}" for where, name, _, _ in COUNTS]
+
+
+class Reached(Exception):
+    """A draw or a fit began."""
+
+
+@pytest.fixture(autouse=True)
+def no_draw_or_fit(monkeypatch):
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr(erm, "_newton", reached)
+    monkeypatch.setattr(mfg, "_response", reached)
+    monkeypatch.setattr(np.random, "default_rng", reached)
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"],
+                         ids=["2.5", "True", "float64", "str"])
+@pytest.mark.parametrize("where, name, least, call", COUNTS, ids=IDS)
+def test_refuses_what_is_no_integer(where, name, least, call, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an integer, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("where, name, least, call", COUNTS, ids=IDS)
+def test_refuses_one_below_the_least(where, name, least, call):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be >= {least}")):
+        call(least - 1)
+
+
+@pytest.mark.parametrize("where, name, least, call", COUNTS, ids=IDS)
+def test_accepts_a_numpy_int(where, name, least, call):
+    try:
+        call(np.int64(least))
+    except Reached:  # past every check, at the first draw or fit
+        pass

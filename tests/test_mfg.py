@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -226,6 +227,16 @@ class TestOneArithmetic:
             for level, response in br_curve(params, sigma_L, 11):
                 assert response == best_response(params, sigma_L, level)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(game=_crossing_promises())
+    def test_leader_utility_on_an_array_is_its_floats(self, game):
+        # numpy's exp and math's differ by an ulp on some promises, so an
+        # array is evaluated as its floats are, not by numpy's learner law
+        params, promises = game
+        on_array = induced_leader_utility(params, np.array(promises))
+        assert on_array.tolist() == [induced_leader_utility(params, sigma_L)
+                                     for sigma_L in promises]
+
     def test_the_array_deters_at_tau_exact(self):
         # numpy's exp and math's round this game's pressure or abstain value
         # 1 ulp apart at tau_exact: an array of it used to read M
@@ -399,7 +410,8 @@ class TestCascadeRandomOrder:
         with pytest.raises(ValueError, match="rng_seed"):
             cascade_simulate(bench, 1.0, fraction, schedule=schedule,
                              rng_seed=-1)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=re.escape(
+                "rng_seed must be an integer, got 1.5")):
             cascade_simulate(bench, 1.0, fraction, schedule=schedule,
                              rng_seed=1.5)
 

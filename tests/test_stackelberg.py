@@ -1166,7 +1166,8 @@ class TestKernelPath:
                    for params in bench_solve_draws(200, seed=1)}
         assert len(regimes) >= 3
         assert calls == {}
-        # the spies are live: an array of promises still takes the public law
-        induced_leader_utility(make_params(), np.array([0.0, 1.0]))
+        # the spies are live: the piecewise reference on an array of
+        # promises still takes the public law
+        leader_utility_piecewise(make_params(), np.array([0.0, 1.0]))
         assert calls == {"obfgame.stackelberg.learner_utility": 1,
                          "obfgame.model._quiet": 1}
