@@ -85,6 +85,9 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def _check_positive(name: str, value) -> None:
-    """Refuse a constant that is not finite and positive."""
+    """Refuse a constant that is no real number (Python's or numpy's, not a
+    bool) or that is not finite and positive."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")

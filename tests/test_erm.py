@@ -43,6 +43,22 @@ class TestGenerateSynthetic:
         data = generate_synthetic(1000, 5, 2.0, rng_seed=7)
         assert abs(float(np.mean(data.labels > 0)) - 0.5) <= 0.05
 
+    @pytest.mark.parametrize("n, d, separation, seed", [
+        (2, 1, 0.0, 0), (3, 4, 1.0, 9), (500, 5, 1.0, 7),
+        (8000, 5, 1.5, 2**32 - 1),
+    ])
+    def test_draws_the_labels_of_choice(self, n, d, separation, seed):
+        # the reference: choice's labels, then the features, from one stream;
+        # equal features show the label draw leaves the stream where choice
+        # leaves it, so every later draw is the same too
+        rng = np.random.default_rng(seed)
+        labels = rng.choice((-1.0, 1.0), size=n)
+        features = rng.standard_normal((n, d))
+        features[:, 0] += labels * separation
+        data = generate_synthetic(n, d, separation, seed)
+        assert np.array_equal(data.labels, labels)
+        assert np.array_equal(data.features, features)
+
     def test_deterministic(self):
         a = generate_synthetic(100, 4, 1.0, rng_seed=9)
         b = generate_synthetic(100, 4, 1.0, rng_seed=9)
@@ -139,6 +155,21 @@ class TestErmFit:
         data = generate_synthetic(500, 4, 2.0, rng_seed=47)
         fit = erm_fit(data, ErmConfig(rho=1e6))
         assert np.linalg.norm(fit.classifier.weights) <= 1e-3
+
+    def test_blocked_hessian_fits_like_one_block(self, monkeypatch):
+        # the reference sums all n records at once; n spans two full blocks
+        # and a partial one, and the sums differ only in rounding
+        data = generate_synthetic(3 * erm._BLOCK - 7, 3, 1.0, rng_seed=11)
+        config = ErmConfig(rho=0.1)
+        blocked = erm_fit(data, config)
+        monkeypatch.setattr(erm, "_BLOCK", data.n)
+        whole = erm_fit(data, config)
+        assert blocked.iterations == whole.iterations
+        assert blocked.objectives == pytest.approx(whole.objectives,
+                                                   rel=1e-12)
+        assert np.allclose(blocked.classifier.weights,
+                           whole.classifier.weights, rtol=0.0,
+                           atol=2 * config.grad_tolerance / config.rho)
 
     def test_gradient_norm_contract(self):
         data = generate_synthetic(1000, 5, 1.0, rng_seed=53)
@@ -348,6 +379,25 @@ class TestExcessRisk:
                              rng_seed=103)
         assert result.estimate > 5.0 * result.std_error
 
+    def test_row_wise_scoring_matches_the_column_form(self):
+        # the reference scores both classifiers as columns of one (n, 2)
+        # product; the rows sum in another order, so agreement is to rounding
+        gen, config = GeneratorSpec(5, 1.0), ErmConfig(rho=0.1)
+        f_d = Classifier(np.array([0.9, -0.4, 0.2, 0.0, 1.1]))
+        f_star = Classifier(np.array([1.2, 0.1, -0.3, 0.05, 0.0]))
+        data = generate_synthetic(8000, 5, 1.0, rng_seed=5)
+        weights = np.stack([f_d.weights, f_star.weights], axis=1)
+        losses = np.logaddexp(0.0, -data.labels[:, None]
+                              * (data.features @ weights))
+        diffs = losses[:, 0] - losses[:, 1]
+        reg_gap = 0.5 * config.rho * (f_d.weights @ f_d.weights
+                                      - f_star.weights @ f_star.weights)
+        result = excess_risk(f_d, f_star, config, gen, 8000, rng_seed=5)
+        assert result.estimate == pytest.approx(reg_gap + diffs.mean(),
+                                                rel=1e-12)
+        assert result.std_error == pytest.approx(
+            diffs.std(ddof=1) / math.sqrt(8000), rel=1e-12)
+
     def test_rejects_small_eval(self):
         f = Classifier(np.zeros(2))
         with pytest.raises(ValueError):
@@ -462,6 +512,13 @@ class TestScalingExperiment:
             stds = _per_user_stds(3.96, 100, carriers)
             assert stds[0] == 0.0
             assert float(np.mean(stds**2)) == pytest.approx(3.96, rel=1e-12)
+
+    @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, 0.0,
+                                       2.0, -0.5])
+    def test_dataset_refuses_labels_off_plus_minus_one(self, label):
+        with pytest.raises(ValueError, match=re.escape(
+                "labels must take values in {-1, +1}")):
+            Dataset(np.zeros((3, 2)), np.array([1.0, -1.0, label]))
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 rule, ``errors._check_count``: a value that is no integer, or a bool, is
 refused as such, a value below the least is refused with its bound, and a
 numpy int is accepted.  Each refusal comes before anything is drawn or
-fitted."""
+fitted.  Every positive constant is refused by one rule too,
+``errors._check_positive``: a value that is no real number, or a bool, is
+refused as such, and a numpy float is accepted."""
 
 import re
 
@@ -11,14 +13,20 @@ import pytest
 
 from obfgame import (
     Classifier,
+    Dataset,
+    DpSpec,
     ErmConfig,
     GameParams,
     GeneratorSpec,
+    ModelConventions,
+    PerturbationSpec,
     best_response_oracle,
     br_curve,
     cascade_simulate,
     excess_risk,
     generate_synthetic,
+    perturb_dataset,
+    reference_classifier,
     scaling_experiment,
 )
 from obfgame import erm, mfg
@@ -27,6 +35,7 @@ PARAMS = GameParams(A_L=2.0, C_L=1.0, A_S=1.0, P_S=2.0, C_S=1.0, rho=1.0,
                     N=100, M=50.0)
 GEN, CONFIG = GeneratorSpec(3, 1.0), ErmConfig(rho=0.1)
 ZERO = Classifier(np.zeros(3))
+DATA = Dataset(np.zeros((3, 3)), np.ones(3))
 
 
 def _scaling(name):
@@ -42,8 +51,16 @@ def _scaling(name):
 COUNTS = [
     ("GeneratorSpec", "d", 1, lambda d: GeneratorSpec(d, 1.0)),
     ("generate_synthetic", "n", 2, lambda n: generate_synthetic(n, 3, 1.0, 0)),
+    ("generate_synthetic", "rng_seed", 0,
+     lambda s: generate_synthetic(10, 3, 1.0, s)),
+    ("PerturbationSpec", "rng_seed", 0,
+     lambda s: perturb_dataset(DATA, PerturbationSpec(0.0, np.zeros(3), s))),
+    ("reference_classifier", "rng_seed", 0,
+     lambda s: reference_classifier(GEN, CONFIG, 2000, s)),
     ("excess_risk", "n_eval", 1000,
      lambda n: excess_risk(ZERO, ZERO, CONFIG, GEN, n, 0)),
+    ("excess_risk", "rng_seed", 0,
+     lambda s: excess_risk(ZERO, ZERO, CONFIG, GEN, 1000, s)),
     *[("scaling_experiment", name, least, _scaling(name))
       for name, least in [("n_records", 2), ("replications", 10),
                           ("n_eval", 1000), ("n_ref", 2), ("carriers", 1),
@@ -95,3 +112,32 @@ def test_accepts_a_numpy_int(where, name, least, call):
         call(np.int64(least))
     except Reached:  # past every check, at the first draw or fit
         pass
+
+
+# (constructor, field, a call that passes the value as that field and a valid
+# value for every other)
+POSITIVES = [
+    ("ErmConfig", "rho", lambda v: ErmConfig(rho=v)),
+    ("ErmConfig", "grad_tolerance",
+     lambda v: ErmConfig(rho=0.1, grad_tolerance=v)),
+    ("ModelConventions", "c_g", lambda v: ModelConventions(c_g=v)),
+    ("ModelConventions", "c_p", lambda v: ModelConventions(c_p=v)),
+    ("DpSpec", "sensitivity", lambda v: DpSpec(0.1, sensitivity=v)),
+]
+POSITIVE_IDS = [f"{where}.{name}" for where, name, _ in POSITIVES]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None],
+                         ids=["True", "np.True_", "str", "None"])
+@pytest.mark.parametrize("where, name, call", POSITIVES, ids=POSITIVE_IDS)
+def test_refuses_what_is_no_real_number(where, name, call, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a real number, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("where, name, call", POSITIVES, ids=POSITIVE_IDS)
+def test_accepts_a_numpy_float(where, name, call, value):
+    assert getattr(call(value), name) == value
