@@ -31,7 +31,8 @@ class DpSpec:
     sensitivity: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
+        _check_positive("delta", self.delta)
+        if self.delta >= 1.0:
             raise ValueError("delta must lie in (0, 1)")
         _check_positive("sensitivity", self.sensitivity)
 
@@ -69,9 +70,7 @@ def gaussian_epsilon(spec: DpSpec, total_std: float) -> EpsilonResult:
     """Classical Gaussian-mechanism calibration
     epsilon = sensitivity * sqrt(2 ln(1.25/delta)) / total_std.  Raises
     ValueError unless total_std is finite and non-negative, naming it."""
-    if not (math.isfinite(total_std) and total_std >= 0):
-        raise ValueError(f"total_std must be finite and non-negative, "
-                         f"got {total_std}")
+    _check_positive("total_std", total_std, zero=True)
     if total_std == 0:
         raise InfiniteLeakageError(
             "zero total noise provides no differential privacy")
@@ -83,17 +82,17 @@ def scaling_check(spec: DpSpec,
                   sigma_pairs: Sequence[tuple[float, float]]) -> DpScalingReport:
     """Calibrate each (sigma_L, sigma_S) pair at combined std
     sqrt(sigma_L^2 + sigma_S^2) and report how far epsilon * combined_std
-    strays from its analytic constant.  Raises ValueError on a negative
-    sigma or a non-finite combined std, naming the pair."""
+    strays from its analytic constant.  Raises ValueError, naming the pair,
+    on a sigma that is no finite real >= 0 or an overflowing combined std."""
     constant = gaussian_epsilon(spec, 1.0).epsilon
     rows = []
     max_dev = 0.0
     for i, (sigma_L, sigma_S) in enumerate(sigma_pairs):
+        pair = f"sigma pair {i} ({sigma_L}, {sigma_S})"
+        _check_positive(f"{pair}: sigma_L", sigma_L, zero=True)
+        _check_positive(f"{pair}: sigma_S", sigma_S, zero=True)
         combined = math.hypot(sigma_L, sigma_S)
-        if min(sigma_L, sigma_S) < 0 or not math.isfinite(combined):
-            raise ValueError(
-                f"sigma pair {i} ({sigma_L}, {sigma_S}): sigmas must be "
-                f"non-negative with a finite combined std")
+        _check_positive(f"{pair}: combined std", combined, zero=True)
         result = gaussian_epsilon(spec, combined)
         rows.append(DpScalingRow(i, sigma_L, sigma_S, combined,
                                  result.epsilon, result.valid))

@@ -68,9 +68,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         _check_count("d", self.d, 1)
-        if not (math.isfinite(self.separation) and self.separation >= 0):
-            raise ValueError(f"separation must be finite and non-negative, "
-                             f"got {self.separation!r}")
+        _check_positive("separation", self.separation, zero=True)
 
 
 @dataclass
@@ -83,12 +81,11 @@ class PerturbationSpec:
 
     def __post_init__(self):
         _check_count("rng_seed", self.rng_seed, 0)
-        self.sigma_S_per_user = np.asarray(self.sigma_S_per_user, dtype=float)
-        stds = np.append(self.sigma_L, self.sigma_S_per_user)
+        _check_positive("sigma_L", self.sigma_L, zero=True)
+        stds = self.sigma_S_per_user = np.asarray(self.sigma_S_per_user,
+                                                  dtype=float)
         for i in np.flatnonzero(~(np.isfinite(stds) & (stds >= 0)))[:1]:
-            name = f"sigma_S_per_user[{i - 1}]" if i else "sigma_L"
-            raise ValueError(f"{name} must be finite and non-negative, "
-                             f"got {float(stds[i])!r}")
+            _check_positive(f"sigma_S_per_user[{i}]", stds[i], zero=True)
 
 
 @dataclass(frozen=True)
@@ -287,6 +284,7 @@ def reference_classifier(gen: GeneratorSpec, config: ErmConfig,
                          n_ref: int = 100_000, rng_seed: int = 0) -> FitResult:
     """Approximate the population-optimal classifier by fitting one large
     clean sample from the generator; the fit carries its convergence."""
+    _check_count("n_ref", n_ref, 2)
     data = generate_synthetic(n_ref, gen.d, gen.separation, rng_seed)
     return erm_fit(data, config)
 
@@ -352,11 +350,9 @@ def scaling_experiment(gen: GeneratorSpec, n_records: int, config: ErmConfig,
         _check_count(name, value, least)
     if len(aggregates) < 4:
         raise ValueError("at least 4 noise levels are required")
+    for i, v in enumerate(aggregates):
+        _check_positive(f"aggregates[{i}]", v, zero=True)
     v_values = np.array(aggregates, dtype=float)
-    for v in v_values.tolist():
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"variance aggregate {v!r} must be finite and "
-                             "non-negative")
     if np.ptp(v_values) == 0.0:
         raise DegenerateRegressionError(
             "all noise levels share the same variance aggregate")

@@ -84,10 +84,17 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
-def _check_positive(name: str, value) -> None:
-    """Refuse a constant that is no real number (Python's or numpy's, not a
-    bool) or that is not finite and positive."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+def _check_positive(name: str, value, zero: bool = False) -> None:
+    """Refuse a value that is no real number (Python's or numpy's, not a
+    bool), or not finite and positive (non-negative where ``zero``)."""
+    # a float skips the ABC test: slow, and GameParams would run it 7 times
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (finite and (value >= 0 if zero else value > 0)):
+        bound = "non-negative" if zero else "positive"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")

@@ -10,9 +10,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import _check_count
-from .model import (GameParams, _elementwise, _pressure_gap, _variance,
-                    user_utility)
+from .errors import _check_count, _check_positive
+from .model import (GameParams, _elementwise, _float_array, _pressure_gap,
+                    _variance, user_utility)
 
 __all__ = [
     "INDIFFERENCE_TOL",
@@ -155,7 +155,8 @@ def gamma(params: GameParams, sigma_L: float | np.ndarray) -> float | np.ndarray
     array of promises decided point by point on Python floats."""
     if isinstance(sigma_L, (float, int)):
         return params.M * _response(params, sigma_L, 0.0, 0.0)[0]
-    return _elementwise(lambda sigma: gamma(params, float(sigma)), sigma_L)
+    return _elementwise(lambda sigma: gamma(params, sigma),
+                        _float_array("sigma_L", sigma_L))
 
 
 def fixed_point_check(params: GameParams, sigma_L: float, sigma_bar: float) -> bool:
@@ -183,7 +184,8 @@ def cascade_simulate(params: GameParams, sigma_L: float, seed_fraction: float,
     then is the first agent of a random order drawn from rng_seed (a
     non-negative integer), so rng_seed changes nothing else.
     """
-    if not 0.0 <= seed_fraction <= 1.0:
+    _check_positive("seed_fraction", seed_fraction, zero=True)
+    if seed_fraction > 1.0:
         raise ValueError("seed_fraction must lie in [0, 1]")
     _check_count("max_rounds", max_rounds, 1)
     if schedule not in ("async", "sync"):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +55,8 @@ class ModelConventions:
     privacy_exponent: float = 1.0
 
     def __post_init__(self):
-        _check_positive("c_g", self.c_g)
-        _check_positive("c_p", self.c_p)
+        for name in ("c_g", "c_p", "privacy_exponent"):
+            _check_positive(name, getattr(self, name))
         if self.privacy_exponent not in (0.5, 1.0):
             raise ValueError("privacy_exponent must be 0.5 or 1.0")
 
@@ -103,28 +102,27 @@ def _is_count(N) -> bool:
             and not isinstance(N, bool) and float(N).is_integer()) and N >= 1
 
 
-_FLOATS = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "M")
-# GameParams' per-field rules in the order it checks them, each on one field
-_FIELD_RULES = (
-    # finite and, for an int too, within the float range
-    (_FLOATS, lambda v: abs(v) <= sys.float_info.max, "finite"),
-    (("A_L", "A_S", "P_S", "rho", "M"), lambda v: v > 0, "strictly positive"),
-    (("C_L", "C_S"), lambda v: v >= 0, "non-negative"),
-    (("N",), _is_count, "an integer >= 1"),
-)
+# GameParams' float fields, each with whether zero is allowed (the costs)
+_FLOATS = {"A_L": False, "C_L": True, "A_S": False, "P_S": False,
+           "C_S": True, "rho": False, "M": False}
 
 
 def _check_fields(values: dict) -> None:
-    """Raise GameParams' ValueError for the first of _FIELD_RULES that some
-    value breaks; ``values`` maps each field to a sequence of its values."""
-    for names, test, rule in _FIELD_RULES:
-        for name in names:
-            if not all(map(test, values[name])):
-                raise ValueError(f"{name} must be {rule}")
+    """Raise GameParams' ValueError for the first field in ``values`` (each
+    field's values; floats, then N) that errors' rule or _is_count refuses.
+    A numeric array's min and max decide for it: a nan reaches both."""
+    for name, zero in _FLOATS.items():
+        column = values[name]
+        if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+            column = (column.min(), column.max()) if column.size else ()
+        for value in column:
+            _check_positive(name, value, zero)
+    if not all(map(_is_count, values["N"])):
+        raise ValueError("N must be an integer >= 1")
 
 
 def _derived_kappa(M: float, rho: float, N: int, c_g: float) -> float:
-    """kappa = 1/(rho^2 N) of fields that pass _FIELD_RULES, after checking
+    """kappa = 1/(rho^2 N) of fields that pass _check_fields, after checking
     that the laws get M^2, kappa and c_g kappa as finite positive floats;
     raises ValueError naming the first that is not."""
     if not 0 < M * M < math.inf:
@@ -158,11 +156,21 @@ def _variance(params: GameParams, name: str, sigma):
             raise ValueError(f"{name}={sigma} outside [0, M={params.M}]")
         sigma = float(sigma)
     else:
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = _float_array(name, sigma)
         if sigma.size and not (sigma.min() >= 0 and sigma.max() <= params.M):
             bad = sigma[~((sigma >= 0) & (sigma <= params.M))].flat[0]
             raise ValueError(f"{name}={bad} outside [0, M={params.M}]")
     return sigma * sigma
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """values as a float array, refusing by name the text (str or bytes, or
+    an array holding some) that numpy's float cast would parse."""
+    array = np.asarray(values)
+    if array.dtype.kind in "OSU" and any(
+            isinstance(v, (str, bytes)) for v in array.flat):
+        raise ValueError(f"{name} must hold numbers, got {values!r}")
+    return array.astype(float, copy=False)
 
 
 def _elementwise(f, *columns) -> np.ndarray:

@@ -25,6 +25,7 @@ from .model import (
     _check_fields,
     _derived_kappa,
     _elementwise,
+    _float_array,
     _learner,
     _user,
     kappa,
@@ -189,8 +190,8 @@ def induced_leader_utility(params: GameParams, sigma_L: float | np.ndarray
     if isinstance(sigma_L, (float, int)):
         crowd = gamma(params, sigma_L)
         return _learner(params, float(sigma_L) * sigma_L, crowd * crowd)
-    return _elementwise(
-        lambda sigma: induced_leader_utility(params, float(sigma)), sigma_L)
+    return _elementwise(lambda sigma: induced_leader_utility(params, sigma),
+                        _float_array("sigma_L", sigma_L))
 
 
 def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
@@ -202,7 +203,7 @@ def leader_utility_piecewise(params: GameParams, sigma_L: float | np.ndarray
     the closed-form promise reproduces.  Takes a promise or an array of
     promises and returns a float or an array to match; raises
     UndefinedThresholdError when tau_hat is undefined (P_S <= C_S)."""
-    sigma = np.asarray(sigma_L, dtype=float)
+    sigma = _float_array("sigma_L", sigma_L)
     util = np.where(sigma >= tau_hat(params),
                     learner_utility(params, sigma_L, 0.0), -params.C_L)
     util = np.where(sigma == 0, 0.0, util)

@@ -409,11 +409,11 @@ class TestSweepCommand:
     # that point fails M*M, while a later one (P_S = -1) fails a field rule.
     @pytest.mark.parametrize("changes, sweeps, point, message", [
         ({"game.A_L": "inf"}, {"P_S": (0.5, 5.0, 2)}, {"P_S": 0.5},
-         "A_L must be finite"),
+         "A_L must be finite and positive, got inf"),
         ({}, {"A_S": (-1.0, 1.0, 3)}, {"A_S": -1.0},
-         "A_S must be strictly positive"),
+         "A_S must be finite and positive, got -1.0"),
         ({}, {"C_L": (-0.5, 0.5, 3)}, {"C_L": -0.5},
-         "C_L must be non-negative"),
+         "C_L must be finite and non-negative, got -0.5"),
         ({}, {"N": (1, 4, 3), "P_S": (2.0, 3.0, 2)}, {"N": 2.5, "P_S": 2.0},
          "N must be an integer >= 1"),
         ({}, {"M": (1e-170, 50.0, 2)}, {"M": 1e-170},
@@ -934,9 +934,12 @@ class TestValidateCommand:
         assert "dp_scaling: PASS" in summary
 
     @pytest.mark.parametrize("entry, named", [
-        ("experiment.erm.levels = 0, nan, 1, 2", "variance aggregate nan"),
-        ("experiment.erm.levels = 0, -1, 1, 2", "variance aggregate -1.0"),
-        ("experiment.erm.levels = 0, inf, 1, 2", "variance aggregate inf"),
+        ("experiment.erm.levels = 0, nan, 1, 2",
+         "aggregates[1] must be finite and non-negative, got nan"),
+        ("experiment.erm.levels = 0, -1, 1, 2",
+         "aggregates[1] must be finite and non-negative, got -1.0"),
+        ("experiment.erm.levels = 0, inf, 1, 2",
+         "aggregates[1] must be finite and non-negative, got inf"),
         ("experiment.erm.separation = nan", "separation must be finite and "
                                             "non-negative, got nan"),
         ("experiment.erm.separation = inf", "separation must be finite and "

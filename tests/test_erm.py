@@ -441,9 +441,12 @@ class TestScalingExperiment:
                                rng_seed=0)
 
     @pytest.mark.parametrize("n_records, aggregates, message", [
-        (100, [0.0, -1.0, 1.0, 2.0], "variance aggregate -1.0 "),
-        (100, [0.0, math.nan, 1.0, 2.0], "variance aggregate nan "),
-        (100, [0.0, 1.0, 2.0, math.inf], "variance aggregate inf "),
+        (100, [0.0, -1.0, 1.0, 2.0],
+         "aggregates[1] must be finite and non-negative, got -1.0"),
+        (100, [0.0, math.nan, 1.0, 2.0],
+         "aggregates[1] must be finite and non-negative, got nan"),
+        (100, [0.0, 1.0, 2.0, math.inf],
+         "aggregates[3] must be finite and non-negative, got inf"),
         (1, [0.0, 0.5, 1.0, 2.0], "n_records must be >= 2"),
     ])
     def test_rejects_bad_aggregates_and_sizes(self, n_records, aggregates,

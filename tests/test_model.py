@@ -17,9 +17,12 @@ from obfgame import (
     ModelConventions,
     abstain_value,
     accuracy_level,
+    best_response,
     cascade_simulate,
     gamma,
+    induced_leader_utility,
     kappa,
+    leader_utility_piecewise,
     learner_utility,
     pbne_solve,
     privacy_level,
@@ -339,6 +342,22 @@ class TestArrayForms:
             ("bool", "float", 0.5), ("bool", "float", 1.5),
             ("int", "float", 0.5), ("int", "float", 1.5)]
         assert {x for x, _ in seen if x is not True} == {10**400}
+
+    @pytest.mark.parametrize("text", [
+        "1", b"1", np.array(["1", "2"]), np.array([1.0, "1"], dtype=object)],
+        ids=["str", "bytes", "str-array", "object-array"])
+    def test_refuses_text_deviations(self, text):
+        # numpy's float cast parses text: user_utility(p, "1", 0, 0) once
+        # answered, an ulp away from user_utility(p, 1.0, 0, 0)
+        params = make_params()
+        for law, args in [(user_utility, (text, 0.0, 0.0)),
+                          (learner_utility, (0.0, text)),
+                          (best_response, (text, 0.0)), (gamma, (text,)),
+                          (induced_leader_utility, (text,)),
+                          (leader_utility_piecewise, (text,))]:
+            with pytest.raises(ValueError,
+                               match=r"^sigma_\w+ must hold numbers, got "):
+                law(params, *args)
 
     @pytest.mark.parametrize("bad", [-1.0, 60.0, math.nan])
     def test_every_entry_is_checked(self, bad):

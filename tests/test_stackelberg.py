@@ -2,6 +2,7 @@ import ast
 import collections
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -415,6 +416,68 @@ class TestCriticalPoints:
     def test_a_point_beyond_the_float_range_is_dropped(self):
         # a c^2 = 0.1 < 2, but the smaller point (c/3)^2 ~ 1e319 overflows
         assert crossings._critical_points(1e-321, 1e160, 0.5, 2500.0) == []
+
+
+class TestCrossingGuards:
+    """Games that reach the crossing search's guards for floats at the ends
+    of their range.  _refine's stop where no float lies inside its bracket
+    is not among them: a bracket end below ~1.5e-162 squares to v = 0, so
+    every bracket's upper end is a normal float, whose neighbour lies
+    within ROOT_BISECTION_WIDTH of it, and the width test stops first."""
+
+    @staticmethod
+    def assert_sign_changes(params, roots):
+        # each root is deterred, and the gap, which gamma reads, obfuscates
+        # within ROOT_BISECTION_WIDTH of it on one side
+        width = crossings.ROOT_BISECTION_WIDTH
+        for root in roots:
+            assert _pressure_gap(params, root * root, 0.0) <= 0.0
+            assert gamma(params, root) == 0.0
+            sides = [root * (1.0 - width), min(root / (1.0 - width), params.M)]
+            obfuscates = [_pressure_gap(params, s * s, 0.0) > 0.0
+                          for s in sides]
+            assert any(obfuscates)
+            assert [gamma(params, s) for s in sides] == [
+                params.M * o for o in obfuscates]
+
+    def test_extremum_past_the_exponential_range(self, monkeypatch):
+        # c_p = 1e-300 puts the first critical point at v ~ 7.6e-301: on
+        # [0, 8.7e-151] the first bisection step in ln v, halfway from
+        # ln(5e-324), takes exp(-ln v) beyond the float range, and the
+        # maximum there crosses 0 twice
+        calls = []
+        extremum = crossings._extremum
+        monkeypatch.setattr(crossings, "_extremum", lambda *args: (
+            calls.append(args[1:3]) or extremum(*args)))
+        params = GameParams(A_L=2.0, C_L=1.0, A_S=1.0, P_S=1.35, C_S=0.5,
+                            rho=1e-150, N=2, M=1.0,
+                            conventions=ModelConventions(c_g=1.8,
+                                                         c_p=1e-300))
+        roots = threshold_crossings(params)
+        lo, hi = calls[0]
+        first_step = 0.5 * (math.log(math.ulp(0.0)) + 2.0 * math.log(hi))
+        assert lo == 0.0 and -first_step > math.log(sys.float_info.max)
+        assert len(roots) == 2 and lo < roots[0] < roots[1] < hi
+        self.assert_sign_changes(params, roots)
+        assert_tau_exact_is_first(params, roots)
+
+    @pytest.mark.parametrize("conventions", [
+        ModelConventions(c_p=5e-324),
+        ModelConventions(c_p=1e-200, privacy_exponent=0.5)],
+        ids=["e=1", "e=0.5"])
+    def test_lower_critical_point_underflows(self, monkeypatch, conventions):
+        # c_p so small that the lower critical point underflows to 0: the
+        # first interval [0, 0] is empty, and the walk goes on to M
+        points = []
+        critical = crossings._critical_points
+        monkeypatch.setattr(crossings, "_critical_points", lambda *args: (
+            points.extend(critical(*args)) or critical(*args)))
+        params = make_params(conventions=conventions)
+        roots = threshold_crossings(params)
+        assert points[0] == 0.0
+        assert len(roots) == 1
+        self.assert_sign_changes(params, roots)
+        assert_tau_exact_is_first(params, roots)
 
 
 class TestThresholdsRecord:
