@@ -21,8 +21,9 @@ from typing import NoReturn
 import numpy as np
 
 from . import dp, erm, mfg, stackelberg
-from .config import _SCHEMA, GAME_FIELDS, RunConfig, parse_config
-from .errors import ConfigError, InconsistencyError, ObfGameError
+from .config import _KEYS, GAME_FIELDS, RunConfig, parse_config
+from .errors import (ConfigError, InconsistencyError, ObfGameError,
+                     _check_count)
 from .model import GameParams
 from .stackelberg import _FULL, _INFEASIBLE, _PROMISE
 
@@ -36,8 +37,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         # plain-float repr is the shortest round-trip form (numpy scalars
         # stringify differently, so coerce first)
@@ -294,8 +293,10 @@ OPTIONS = {  # name: (metavar, config key or converter, help)
     "--seed": ("N", "rng_seed", "RNG seed (default: rng_seed)"),
     "--jobs": ("N", int, "accepted and ignored: sweeps run serially"),
 }
-USAGE = ("usage: obfgame <solve|sweep|br-curve|cascade|validate> --config PATH"
-         " [--out DIR] [--format csv|json] [--seed N] [--jobs N]")
+# --config is required, so it is the one option shown without brackets
+USAGE = " ".join([f"usage: obfgame <{'|'.join(COMMANDS)}>", *(
+    f"{name} {metavar}" if name == "--config" else f"[{name} {metavar}]"
+    for name, (metavar, _, _) in OPTIONS.items())])
 HELP = "\n".join([
     USAGE, "", "Solve and validate the bi-level obfuscation game.", "",
     "commands:", *(f"  {name:<10} {text}" for name, text in COMMANDS.items()),
@@ -325,7 +326,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
             if not eq and (value := next(args, None)) is None:
                 _usage_error(f"argument {name}: expected one argument")
             metavar, key, _ = OPTIONS[name]
-            key, convert = ((key, _SCHEMA[key]) if isinstance(key, str)
+            key, convert = ((key, _KEYS[key][0]) if isinstance(key, str)
                             else (name, key))
             try:
                 values[key] = convert(value)
@@ -348,9 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args["--config"])
         config.entries.update(
-            (key, value) for key, value in args.items() if key in _SCHEMA)
-        if (seed := config.get("rng_seed")) < 0:  # refused by every command
-            raise ConfigError(f"rng_seed={seed} must be a non-negative integer")
+            (key, value) for key, value in args.items() if key in _KEYS)
+        _check_count("rng_seed", config.get("rng_seed"), 0)  # every command
         # built per call, so that a runner replaced on the module runs
         run = {"solve": run_solve, "sweep": run_sweep,
                "br-curve": run_br_curve, "cascade": run_cascade,

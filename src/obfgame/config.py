@@ -1,9 +1,9 @@
 """Flat key-value run configuration.
 
 Configs are plain text, one ``section.key = value`` entry per line, with
-``#`` comment lines.  Every key is declared in the schema below; unknown or
-duplicate keys are rejected with the offending line so sweeps stay
-diff-friendly and unambiguous.
+``#`` comment lines.  Every key is declared once, in ``_KEYS`` below, with
+its parser and its default; unknown or duplicate keys are rejected with the
+offending line so sweeps stay diff-friendly and unambiguous.
 """
 
 from __future__ import annotations
@@ -14,25 +14,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_count
 from .model import GameParams, ModelConventions
 
 GAME_FIELDS = ("A_L", "C_L", "A_S", "P_S", "C_S", "rho", "N", "M")
 _SWEEP_PARTS = ("min", "max", "steps")
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {text!r}") from exc
+def _parse_number(kind, noun: str):
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"expected {noun}, got {text!r}") from exc
+    return parse
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {text!r}") from exc
+_parse_float = _parse_number(float, "a number")
+_parse_int = _parse_number(int, "an integer")
 
 
 def _parse_choice(options: tuple[str, ...]):
@@ -64,61 +63,41 @@ def _parse_pair_list(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-_SCHEMA = {
-    **{f"game.{name}": _parse_float for name in GAME_FIELDS if name != "N"},
-    "game.N": _parse_int,
-    "conventions.c_g": _parse_float,
-    "conventions.c_p": _parse_float,
-    "conventions.privacy_exponent": _parse_float,
-    "rng_seed": _parse_int,
-    "output.dir": str,
-    "output.format": _parse_choice(("csv", "json")),
-    "sweep.max_points": _parse_int,
-    "br_curve.sigma_L": _parse_float,
-    "br_curve.n_points": _parse_int,
-    "cascade.sigma_L": _parse_float,
-    "cascade.seed_fraction": _parse_float,
-    "cascade.schedule": _parse_choice(("async", "sync")),
-    "cascade.max_rounds": _parse_int,
-    "experiment.erm.n": _parse_int,
-    "experiment.erm.d": _parse_int,
-    "experiment.erm.rho": _parse_float,
-    "experiment.erm.separation": _parse_float,
-    "experiment.erm.levels": _parse_float_list,
-    "experiment.erm.replications": _parse_int,
-    "experiment.erm.n_eval": _parse_int,
-    "experiment.erm.n_ref": _parse_int,
-    "experiment.erm.carriers": _parse_int,
-    "experiment.dp.delta": _parse_float,
-    "experiment.dp.sensitivity": _parse_float,
-    "experiment.dp.pairs": _parse_pair_list,
-    **{f"sweep.{name}.{part}": _parse_int if part == "steps" else _parse_float
+_KEYS = {  # key: (parser, default or None)
+    **{f"game.{name}": (_parse_int if name == "N" else _parse_float, None)
+       for name in GAME_FIELDS},
+    **{f"conventions.{name}": (_parse_float, None)
+       for name in ("c_g", "c_p", "privacy_exponent")},
+    "rng_seed": (_parse_int, 0),
+    "output.dir": (str, "out"),
+    "output.format": (_parse_choice(("csv", "json")), "csv"),
+    "sweep.max_points": (_parse_int, 1_000_000),
+    "br_curve.sigma_L": (_parse_float, None),
+    "br_curve.n_points": (_parse_int, 101),
+    "cascade.sigma_L": (_parse_float, None),
+    "cascade.seed_fraction": (_parse_float, None),
+    "cascade.schedule": (_parse_choice(("async", "sync")), "async"),
+    "cascade.max_rounds": (_parse_int, 100),
+    "experiment.erm.n": (_parse_int, 500),
+    "experiment.erm.d": (_parse_int, 5),
+    "experiment.erm.rho": (_parse_float, 0.1),
+    "experiment.erm.separation": (_parse_float, 1.0),
+    "experiment.erm.levels": (_parse_float_list, (0.0, 0.5, 1.0, 2.0, 4.0)),
+    "experiment.erm.replications": (_parse_int, 50),
+    "experiment.erm.n_eval": (_parse_int, 8000),
+    "experiment.erm.n_ref": (_parse_int, 100_000),
+    "experiment.erm.carriers": (_parse_int, 25),
+    "experiment.dp.delta": (_parse_float, 1e-5),
+    "experiment.dp.sensitivity": (_parse_float, 1.0),
+    "experiment.dp.pairs": (_parse_pair_list, (
+        (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (1.0, 1.0), (2.0**0.5, 0.0),
+        (5.0, 0.0), (3.0, 4.0), (10.0, 0.0))),
+    **{f"sweep.{name}.{part}": (_parse_int if part == "steps"
+                                else _parse_float, None)
        for name in GAME_FIELDS for part in _SWEEP_PARTS},
 }
-
-DEFAULTS = {
-    "rng_seed": 0,
-    "output.dir": "out",
-    "output.format": "csv",
-    "sweep.max_points": 1_000_000,
-    "br_curve.n_points": 101,
-    "cascade.schedule": "async",
-    "cascade.max_rounds": 100,
-    "experiment.erm.n": 500,
-    "experiment.erm.d": 5,
-    "experiment.erm.rho": 0.1,
-    "experiment.erm.separation": 1.0,
-    "experiment.erm.levels": (0.0, 0.5, 1.0, 2.0, 4.0),
-    "experiment.erm.replications": 50,
-    "experiment.erm.n_eval": 8000,
-    "experiment.erm.n_ref": 100_000,
-    "experiment.erm.carriers": 25,
-    "experiment.dp.delta": 1e-5,
-    "experiment.dp.sensitivity": 1.0,
-    "experiment.dp.pairs": ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0),
-                            (1.0, 1.0), (2.0**0.5, 0.0), (5.0, 0.0),
-                            (3.0, 4.0), (10.0, 0.0)),
-}
+DEFAULTS = {key: default for key, (_, default) in _KEYS.items()
+            if default is not None}
 
 
 @dataclass
@@ -156,8 +135,7 @@ class RunConfig:
             if missing := [key for key in keys if key not in self.entries]:
                 raise ConfigError(f"sweep.{name} is missing {missing[0]}")
             ranges[name] = [self.entries[key] for key in keys]
-            if ranges[name][2] < 1:
-                raise ConfigError("sweep steps must be >= 1")
+            _check_count(keys[2], ranges[name][2], 1)
         if not ranges:
             raise ConfigError("sweep requires at least one sweep.<param> range")
         total = math.prod(steps for _, _, steps in ranges.values())
@@ -184,12 +162,12 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            entries[key] = _SCHEMA[key](value)
+            entries[key] = _KEYS[key][0](value)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     return RunConfig(entries)

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateRegressionError, _check_count, _check_positive
+from .errors import (DegenerateRegressionError, _check_count, _check_positive,
+                     _float_array)
 
 __all__ = [
     "Dataset",
@@ -44,10 +45,12 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=float)
+        self.features = _float_array("features", self.features)
+        self.labels = _float_array("labels", self.labels)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
+        if not self.features.shape[0]:
+            raise ValueError("features must have at least one row")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be 1-D with one entry per row")
         if not (np.abs(self.labels) == 1.0).all():
@@ -82,8 +85,8 @@ class PerturbationSpec:
     def __post_init__(self):
         _check_count("rng_seed", self.rng_seed, 0)
         _check_positive("sigma_L", self.sigma_L, zero=True)
-        stds = self.sigma_S_per_user = np.asarray(self.sigma_S_per_user,
-                                                  dtype=float)
+        stds = self.sigma_S_per_user = _float_array("sigma_S_per_user",
+                                                    self.sigma_S_per_user)
         for i in np.flatnonzero(~(np.isfinite(stds) & (stds >= 0)))[:1]:
             _check_positive(f"sigma_S_per_user[{i}]", stds[i], zero=True)
 
@@ -105,7 +108,7 @@ class Classifier:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _float_array("weights", self.weights)
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
@@ -276,7 +279,10 @@ def _newton(X: np.ndarray, y: np.ndarray,
 
 
 def erm_fit(data: Dataset, config: ErmConfig) -> FitResult:
-    """Minimize rho/2 ||f||^2 + mean logistic loss (``_newton``, one fit)."""
+    """Minimize rho/2 ||f||^2 + mean logistic loss (``_newton``, one fit);
+    a non-finite feature is refused before the first iteration."""
+    if not np.isfinite(data.features).all():
+        raise ValueError("features must be finite")
     return _newton(data.features[None], data.labels[None], config)[0]
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 __all__ = [
     "ObfGameError",
     "ConfigError",
@@ -82,6 +84,16 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """values as a float array, refusing by name the text (str or bytes, or
+    an array holding some) that numpy's float cast would parse."""
+    array = np.asarray(values)
+    if array.dtype.kind in "OSU" and any(
+            isinstance(v, (str, bytes)) for v in array.flat):
+        raise ValueError(f"{name} must hold numbers, got {values!r}")
+    return array.astype(float, copy=False)
 
 
 def _check_positive(name: str, value, zero: bool = False) -> None:

@@ -10,9 +10,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import _check_count, _check_positive
-from .model import (GameParams, _elementwise, _float_array, _pressure_gap,
-                    _variance, user_utility)
+from .errors import _check_count, _check_positive, _float_array
+from .model import (GameParams, _elementwise, _pressure_gap, _variance,
+                    user_utility)
 
 __all__ = [
     "INDIFFERENCE_TOL",

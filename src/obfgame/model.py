@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _check_positive
+from .errors import _check_positive, _float_array
 
 __all__ = [
     "ModelConventions",
@@ -110,14 +110,21 @@ _FLOATS = {"A_L": False, "C_L": True, "A_S": False, "P_S": False,
 def _check_fields(values: dict) -> None:
     """Raise GameParams' ValueError for the first field in ``values`` (each
     field's values; floats, then N) that errors' rule or _is_count refuses.
-    A numeric array's min and max decide for it: a nan reaches both."""
+    A numeric array's min and max decide for a float field: a nan reaches
+    both.  A numeric N array is decided whole: finite, integral and >= 1."""
     for name, zero in _FLOATS.items():
         column = values[name]
         if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
             column = (column.min(), column.max()) if column.size else ()
         for value in column:
             _check_positive(name, value, zero)
-    if not all(map(_is_count, values["N"])):
+    N = values["N"]
+    if isinstance(N, np.ndarray) and N.dtype.kind in "iuf":
+        counts = not N.size or (N.min() >= 1 and np.isfinite(N).all()
+                                and (np.trunc(N) == N).all())
+    else:
+        counts = all(map(_is_count, N))
+    if not counts:
         raise ValueError("N must be an integer >= 1")
 
 
@@ -161,16 +168,6 @@ def _variance(params: GameParams, name: str, sigma):
             bad = sigma[~((sigma >= 0) & (sigma <= params.M))].flat[0]
             raise ValueError(f"{name}={bad} outside [0, M={params.M}]")
     return sigma * sigma
-
-
-def _float_array(name: str, values) -> np.ndarray:
-    """values as a float array, refusing by name the text (str or bytes, or
-    an array holding some) that numpy's float cast would parse."""
-    array = np.asarray(values)
-    if array.dtype.kind in "OSU" and any(
-            isinstance(v, (str, bytes)) for v in array.flat):
-        raise ValueError(f"{name} must hold numbers, got {values!r}")
-    return array.astype(float, copy=False)
 
 
 def _elementwise(f, *columns) -> np.ndarray:

@@ -16,6 +16,7 @@ from .errors import (
     InfeasiblePromiseError,
     NoCrossingError,
     UndefinedThresholdError,
+    _float_array,
 )
 from .mfg import gamma
 from .model import (
@@ -25,7 +26,6 @@ from .model import (
     _check_fields,
     _derived_kappa,
     _elementwise,
-    _float_array,
     _learner,
     _user,
     kappa,

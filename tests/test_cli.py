@@ -708,14 +708,14 @@ class TestCommandLine:
          ["unrecognized argument '--s'"]),
         # refused before any fit, with the key cascade names
         (["validate", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
-         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+         "err", ["config error: rng_seed must be >= 0"]),
         # refused by the commands that read no seed too
         (["solve", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
-         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+         "err", ["config error: rng_seed must be >= 0"]),
         (["sweep", "--config", "CFG", "--out", "OUT", "--seed=-1"], 2,
-         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+         "err", ["config error: rng_seed must be >= 0"]),
         (["br-curve", "--config", "CFG", "--out", "OUT", "--seed", "-1"], 2,
-         "err", ["config error: rng_seed=-1 must be a non-negative integer"]),
+         "err", ["config error: rng_seed must be >= 0"]),
         (["solve", "--config", "CFG", "--out", "OUT", "--seed", "-1",
           "--seed", "1"], 0, "out", ["regime="]),
     ])
@@ -749,7 +749,7 @@ class TestCommandLine:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "config error: rng_seed=-1 must be a non-negative integer\n")
+            "config error: rng_seed must be >= 0\n")
         assert not out.exists()
         if command != "validate":  # the ERM runs are the slow part of tier-1
             assert main([command, "--config", cfg, "--out", str(out),
@@ -841,7 +841,7 @@ def test_promise_outside_domain_exits_2(tmp_path, capsys, command, extra,
      "expected at least one sigma pair"),
     ("solve", "game.A_L 2.0\n", "expected 'key = value'"),
     ("sweep", ROW3_GAME + "sweep.P_S.min = 0.5\nsweep.P_S.max = 5.0\n"
-     "sweep.P_S.steps = 0\n", "sweep steps must be >= 1"),
+     "sweep.P_S.steps = 0\n", "sweep.P_S.steps must be >= 1"),
 ], ids=["number", "integer", "choice", "empty-list", "three-part-pair",
         "no-pair", "no-equals", "zero-steps"])
 def test_refused_config_exits_2(tmp_path, capsys, command, text, named):

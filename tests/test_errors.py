@@ -6,7 +6,9 @@ fitted.  Every real-valued argument is refused by one rule too,
 ``errors._check_positive``: a value that is no real number, or a bool, is
 refused as such, one that is not finite (an int beyond the float range is
 not) or lies past its sign bound is refused with that bound, and a numpy
-float is accepted without a warning."""
+float is accepted without a warning.  An array argument holding text is
+refused rather than parsed, and ``erm_fit`` refuses an empty or non-finite
+dataset before it fits."""
 
 import math
 import re
@@ -26,6 +28,7 @@ from obfgame import (
     best_response_oracle,
     br_curve,
     cascade_simulate,
+    erm_fit,
     excess_risk,
     gaussian_epsilon,
     generate_synthetic,
@@ -196,3 +199,34 @@ def test_accepts_a_numpy_float(where, name, zero, call, value):
         return
     # a constructor keeps the value it was given
     assert getattr(result, name, value) == value
+
+
+# (entry point, array parameter, a call that passes text in that array)
+TEXT_ARRAYS = [
+    ("Dataset", "features", lambda: Dataset([["1", "2"]], [1.0])),
+    ("Dataset", "labels", lambda: Dataset([[1.0, 2.0]], ["1"])),
+    ("PerturbationSpec", "sigma_S_per_user",
+     lambda: PerturbationSpec(0.0, ["1", "2"], 0)),
+    ("Classifier", "weights", lambda: Classifier(["1", "2"])),
+]
+
+
+@pytest.mark.parametrize("where, name, call", TEXT_ARRAYS,
+                         ids=[f"{w}.{n}" for w, n, _ in TEXT_ARRAYS])
+def test_refuses_text_in_an_array(where, name, call):
+    with pytest.raises(ValueError, match=f"{name} must hold numbers"):
+        call()
+
+
+def test_dataset_refuses_zero_rows():
+    with pytest.raises(ValueError, match="features must have at least one"):
+        Dataset(np.empty((0, 3)), [])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_erm_fit_refuses_a_non_finite_feature(value):
+    # before the first iteration: the fixture's _newton is never reached
+    data = Dataset([[value, 1.0], [0.5, 2.0]], [1, -1])
+    with pytest.raises(ValueError, match="features must be finite"):
+        erm_fit(data, CONFIG)

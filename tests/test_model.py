@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obfgame import (
@@ -39,7 +39,8 @@ GRID_VALUES = {
     **{name: [1.0, 0.5, 0.0, -1.0, math.inf, math.nan, 1e200, 1e-170]
        for name in ("A_L", "C_L", "A_S", "P_S", "C_S", "M")},
     "rho": [1.0, 0.5, 0.0, -1.0, math.nan, 1e-152, 1e-170, 1e170],
-    "N": [1, 100, 3.0, 0, 2.5, -1, True, 10**400],
+    "N": [1, 100, 3.0, 0, 2.5, -1, True, 10**400, math.nan, math.inf,
+          -math.inf, 1e300, 2.0**53 + 2.0],
 }
 
 
@@ -437,11 +438,22 @@ class TestValidation:
         [(name, value) for name, pool in GRID_VALUES.items()
          for value in pool]), max_size=3),
            c_g=st.sampled_from([1.0, 1e5]))
+    @example(extra=[("N", 2.5)], c_g=1.0)
+    @example(extra=[("N", 0)], c_g=1.0)
+    @example(extra=[("N", -1)], c_g=1.0)
+    @example(extra=[("N", math.nan)], c_g=1.0)
+    @example(extra=[("N", math.inf)], c_g=1.0)
+    @example(extra=[("N", -math.inf)], c_g=1.0)
+    @example(extra=[("N", 1e300)], c_g=1.0)
+    @example(extra=[("N", 2.0**53 + 2.0)], c_g=1.0)
+    @example(extra=[("N", 1), ("N", 3)], c_g=1.0)  # an int array
     def test_grid_check_agrees_with_construction(self, extra, c_g):
         # the sweep's column form refuses a grid by GameParams' rules on
         # each field's values and its derived constants on each point;
         # GameParams is the reference.  The grid is the default point with
-        # up to three values added, each field on an axis of its own.
+        # up to three values added, each field on an axis of its own.  The
+        # columns are object arrays, and numeric arrays too where numpy
+        # keeps every value as it is (no bool, no int beyond int64).
         conventions = ModelConventions(c_g=c_g)
         values = {name: [value] for name, value in GRID_BASE.items()}
         for name, value in extra:
@@ -457,16 +469,34 @@ class TestValidation:
 
         every = all(map(accepted, itertools.product(*values.values())))
         # object arrays keep each value's Python type (True, 10**400)
-        columns = {name: np.array(pool, dtype=object).reshape(
-            [-1 if axis == i else 1 for axis in range(len(names))])
-            for i, (name, pool) in enumerate(values.items())}
-        try:
-            stackelberg._closed_form_columns(conventions=conventions,
-                                             **columns)
-        except ValueError:
-            assert not every
-        else:
-            assert every
+        dtypes = [object]
+        if not any(isinstance(v, bool) or v == 10**400
+                   for pool in values.values() for v in pool):
+            dtypes.append(None)
+        for dtype in dtypes:
+            columns = {name: np.array(pool, dtype=dtype).reshape(
+                [-1 if axis == i else 1 for axis in range(len(names))])
+                for i, (name, pool) in enumerate(values.items())}
+            try:
+                stackelberg._closed_form_columns(conventions=conventions,
+                                                 **columns)
+            except ValueError:
+                assert not every
+            else:
+                assert every
+
+    @pytest.mark.parametrize("value", [
+        2.5, 0, -1, math.nan, math.inf, -math.inf, 1e300, 2.0**53 + 2.0, 1,
+        np.uint64(2**64 - 1)])
+    def test_numeric_N_column_refuses_what_GameParams_refuses(self, value):
+        # a numeric N array is decided whole, by the rule each N meets
+        fields = {name: np.array([1.0]) for name in model._FLOATS}
+        for column in (np.array([100, value]), np.array([100.0, value])):
+            if model._is_count(value):
+                model._check_fields({**fields, "N": column})
+            else:
+                with pytest.raises(ValueError, match="N must be an integer"):
+                    model._check_fields({**fields, "N": column})
 
     def test_rejects_bad_conventions(self):
         with pytest.raises(ValueError):
