@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 internal inconsistency, 2 usage/config error.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -24,7 +23,6 @@ from . import dp, erm, mfg, stackelberg
 from .config import _KEYS, GAME_FIELDS, RunConfig, parse_config
 from .errors import (ConfigError, InconsistencyError, ObfGameError,
                      _check_count)
-from .model import GameParams
 from .stackelberg import _FULL, _INFEASIBLE, _PROMISE
 
 ERM_R_SQUARED_THRESHOLD = 0.9
@@ -146,15 +144,19 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
         kind, tau_h, utility = stackelberg._closed_form_columns(
             **columns, conventions=conventions)
     except ValueError:
-        # name the first point, in grid order, that GameParams refuses
-        values = (grid.tolist() for grid in grids.values())
-        for point in itertools.product(*values):
-            point = dict(zip(names, point))
-            try:
-                GameParams(conventions=conventions, **base, **point)
-            except ValueError as exc:
-                raise ConfigError(f"sweep point {point}: {exc}")
-        raise
+        # name the first refused point in grid order: fix each swept field,
+        # in row order, at its first value whose slice is still refused; the
+        # refusal of the last slice, a single point, is the message
+        point = {}
+        for name, grid in grids.items():
+            for point[name] in grid.tolist():
+                try:
+                    stackelberg._closed_form_columns(
+                        **{**columns, **point}, conventions=conventions)
+                except ValueError as exc:
+                    error = exc
+                    break
+        raise ConfigError(f"sweep point {point}: {error}")
 
     # each swept field's grid with the rows between its steps; M's grid is
     # its one value where it is not swept

@@ -126,7 +126,8 @@ class RunConfig:
 
     def sweep_grids(self) -> dict[str, np.ndarray]:
         """name -> np.linspace grid of each swept game field, in name order;
-        a grid above sweep.max_points is refused before any axis is built."""
+        a non-finite endpoint or span, or a grid above sweep.max_points, is
+        refused before any axis is built."""
         ranges = {}
         for name in sorted(GAME_FIELDS):
             keys = [f"sweep.{name}.{part}" for part in _SWEEP_PARTS]
@@ -134,8 +135,13 @@ class RunConfig:
                 continue
             if missing := [key for key in keys if key not in self.entries]:
                 raise ConfigError(f"sweep.{name} is missing {missing[0]}")
-            ranges[name] = [self.entries[key] for key in keys]
-            _check_count(keys[2], ranges[name][2], 1)
+            ranges[name] = low, high, steps = [self.entries[k] for k in keys]
+            _check_count(keys[2], steps, 1)
+            # np.linspace would warn and fill the axis with nan or inf
+            for key, value in ((keys[0], low), (keys[1], high),
+                               (f"{keys[1]} - {keys[0]}", high - low)):
+                if not math.isfinite(value):
+                    raise ConfigError(f"{key} must be finite, got {value}")
         if not ranges:
             raise ConfigError("sweep requires at least one sweep.<param> range")
         total = math.prod(steps for _, _, steps in ranges.values())

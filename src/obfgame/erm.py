@@ -109,6 +109,8 @@ class Classifier:
 
     def __post_init__(self):
         self.weights = _float_array("weights", self.weights)
+        if self.weights.ndim != 1:
+            raise ValueError("weights must be a 1-D array")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
@@ -280,9 +282,15 @@ def _newton(X: np.ndarray, y: np.ndarray,
 
 def erm_fit(data: Dataset, config: ErmConfig) -> FitResult:
     """Minimize rho/2 ||f||^2 + mean logistic loss (``_newton``, one fit);
-    a non-finite feature is refused before the first iteration."""
-    if not np.isfinite(data.features).all():
-        raise ValueError("features must be finite")
+    features that are not finite, or whose squares overflow in a column's
+    sum, are refused before the first iteration."""
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->j", data.features, data.features)
+    if not np.isfinite(squares).all():
+        if not np.isfinite(data.features).all():
+            raise ValueError("features must be finite")
+        raise ValueError("features must have a finite sum of squares in "
+                         "each column")
     return _newton(data.features[None], data.labels[None], config)[0]
 
 
@@ -313,6 +321,10 @@ def excess_risk(f_d: Classifier, f_star: Classifier, config: ErmConfig,
     """Paired Monte-Carlo estimate of the clean expected regularized loss gap
     between f_d and f_star, with the paired-sample standard error."""
     _check_count("n_eval", n_eval, 1000)
+    for name, f in (("f_d", f_d), ("f_star", f_star)):
+        if f.weights.shape != (gen.d,):
+            raise ValueError(f"{name}.weights must have gen.d={gen.d} "
+                             f"entries, got {f.weights.size}")
     estimate, diffs = _paired_gap(f_d, f_star, config, gen, n_eval, rng_seed)
     return ExcessRisk(estimate, float(diffs.std(ddof=1) / math.sqrt(n_eval)),
                       n_eval)

@@ -140,11 +140,11 @@ def _derived_kappa(M: float, rho: float, N: int, c_g: float) -> float:
         scale = math.nan
     if not 0 < scale < math.inf:
         raise ValueError(
-            f"rho={rho} and N={N} must give a finite positive "
+            f"rho={rho} and N={int(N)} must give a finite positive "
             f"kappa = 1/(rho^2 N)")
     if not c_g * scale < math.inf:
         raise ValueError(
-            f"rho={rho}, N={N} and c_g={c_g} must give a "
+            f"rho={rho}, N={int(N)} and c_g={c_g} must give a "
             f"finite c_g * kappa = c_g/(rho^2 N)")
     return scale
 

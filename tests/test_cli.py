@@ -21,6 +21,7 @@ from obfgame import (
     cli,
     erm,
     mfg,
+    stackelberg,
     tau_hat,
 )
 from obfgame.cli import _fmt, main
@@ -128,6 +129,61 @@ def scalar_sweep_rows(config):
             ("P_S <= C_S", params.P_S <= params.C_S),
             ("C_S = 0", params.C_S == 0), ("C_L = 0", params.C_L == 0)] if hit}
     return rows, kinds
+
+
+# values that GameParams refuses, by field: past its sign bound, an N
+# below 1 or fractional, an M whose square underflows, a rho whose square
+# underflows (kappa is infinite) and one whose c_g kappa overflows at
+# c_g = 1e5 for every N of SWEEP_POOLS
+REFUSED_POOLS = {
+    "A_L": [0.0], "C_L": [-0.5], "A_S": [-0.25], "P_S": [0.0],
+    "C_S": [-0.1], "rho": [1e-170, 1e-154], "N": [0, 2.5], "M": [1e-170],
+}
+
+
+@st.composite
+def refused_sweep_configs(draw):
+    """A sweep config over one to three fields.  One or two fields draw each
+    value (a grid's endpoints too) from REFUSED_POOLS or the first value of
+    SWEEP_POOLS, so that most grids hold a refused point and some hold only
+    refused points; the others draw from SWEEP_POOLS.  An unswept N is an
+    int, as the config reads it."""
+    swept = draw(st.lists(st.sampled_from(GAME_FIELDS), min_size=1,
+                          max_size=3, unique=True))
+    refusable = draw(st.permutations(GAME_FIELDS))[:draw(st.integers(1, 2))]
+
+    def value(name):
+        pool = (REFUSED_POOLS[name] + SWEEP_POOLS[name][:1]
+                if name in refusable else SWEEP_POOLS[name])
+        if name == "N" and name not in swept:
+            pool = [n for n in pool if isinstance(n, int)]
+        return draw(st.sampled_from(pool))
+
+    lines = [f"game.{name} = {value(name)!r}"
+             for name in GAME_FIELDS if name not in swept]
+    for name in swept:
+        lines += [f"sweep.{name}.min = {value(name)!r}",
+                  f"sweep.{name}.max = {value(name)!r}",
+                  f"sweep.{name}.steps = {draw(st.integers(1, 6))}"]
+    lines.append(f"conventions.c_g = "
+                 f"{draw(st.sampled_from([1.0, 0.7, 1e5]))!r}")
+    return "\n".join(lines) + "\n"
+
+
+def first_refused_point(config):
+    """The first point of the sweep grid, in grid order, that GameParams
+    refuses, and its message; None where it refuses none."""
+    grids = config.sweep_grids()
+    base = {name: config.require(f"game.{name}")
+            for name in GAME_FIELDS if name not in grids}
+    grid_values = (grid.tolist() for grid in grids.values())
+    for values in itertools.product(*grid_values):
+        point = dict(zip(grids, values))
+        try:
+            GameParams(conventions=config.conventions(), **base, **point)
+        except ValueError as exc:
+            return point, str(exc)
+    return None
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -446,6 +502,95 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             f"config error: sweep point {point}: {message}\n")
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_random_refused_grids_name_the_first_refused_point(self):
+        # the sweep narrows the column form's refusal to one point; a walk
+        # through GameParams in grid order is the reference
+        rules = set()
+
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        @given(text=refused_sweep_configs())
+        def check(text):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = write_config(Path(tmp), text)
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main(["sweep", "--config", cfg, "--out", tmp])
+                refused = first_refused_point(parse_config(cfg))
+            if refused is None:
+                assert (code, err.getvalue()) == (0, "")
+                return
+            point, message = refused
+            assert code == 2
+            assert err.getvalue() == (
+                f"config error: sweep point {point}: {message}\n")
+            rules.add(message.partition(" must ")[2].split(",")[0])
+
+        check()
+        assert rules >= {
+            "be finite and positive", "be finite and non-negative",
+            "be an integer >= 1", "have a finite positive square M*M",
+            "give a finite positive kappa = 1/(rho^2 N)",
+            "give a finite c_g * kappa = c_g/(rho^2 N)"}
+
+    def test_refused_grid_builds_no_game_point(self, tmp_path, monkeypatch,
+                                               capsys):
+        # only the outer axis's last value, C_L = -0.002, is refused: a walk
+        # through GameParams in grid order built 89,701 points to name it,
+        # and narrowing the column form's refusal axis by axis evaluates it
+        # on at most 1 + 300 + 300 slices
+        built, calls = [], []
+        post_init = GameParams.__post_init__
+        columns = stackelberg._closed_form_columns
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_columns(*args, **kwargs):
+            calls.append(kwargs)
+            return columns(*args, **kwargs)
+
+        monkeypatch.setattr(GameParams, "__post_init__", counting_post_init)
+        monkeypatch.setattr(stackelberg, "_closed_form_columns",
+                            counting_columns)
+        text = (ROW3_GAME.replace("game.C_L = 1.0\n", "")
+                .replace("game.P_S = 2.0\n", "")
+                + "sweep.C_L.min = 2.0\nsweep.C_L.max = -0.002\n"
+                  "sweep.C_L.steps = 300\nsweep.P_S.min = 0.5\n"
+                  "sweep.P_S.max = 5.0\nsweep.P_S.steps = 300\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep point {'C_L': -0.002, 'P_S': 0.5}: "
+            "C_L must be finite and non-negative, got -0.002\n")
+        assert not built
+        assert 0 < len(calls) <= 601
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("low, high, refused", [
+        *[(value, "3.0", f"sweep.A_L.min must be finite, got {float(value)}")
+          for value in ("inf", "-inf", "nan")],
+        *[("2.0", value, f"sweep.A_L.max must be finite, got {float(value)}")
+          for value in ("inf", "-inf", "nan")],
+        ("-1e308", "1e308",
+         "sweep.A_L.max - sweep.A_L.min must be finite, got inf"),
+    ], ids=["min-inf", "min--inf", "min-nan", "max-inf", "max--inf",
+            "max-nan", "span"])
+    def test_non_finite_range_is_refused_by_its_keys(
+            self, tmp_path, monkeypatch, capsys, low, high, refused, steps):
+        # np.linspace would warn and make nan or inf points the config
+        # never held
+        def linspace(*args, **kwargs):
+            raise AssertionError("built an axis")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        cfg = write_config(tmp_path, ROW3_GAME.replace("game.A_L = 2.0\n", "")
+                           + f"sweep.A_L.min = {low}\nsweep.A_L.max = {high}\n"
+                             f"sweep.A_L.steps = {steps}\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {refused}\n"
 
     def test_bench_grid_matches_reference_bytes(self, tmp_path):
         # the benchmark's sweep at its default seed, against its reference
@@ -972,11 +1117,12 @@ class TestValidateCommand:
         ("experiment.erm.n_eval = 500", "n_eval must be >= 1000"),
         ("experiment.erm.n_ref = 1", "n_ref must be >= 2"),
         ("experiment.erm.carriers = 0", "carriers must be >= 1"),
+        ("experiment.dp.delta = 1", "delta must lie in (0, 1)"),
     ])
     def test_small_samples_exit_2_before_fitting(self, tmp_path, monkeypatch,
                                                  capsys, entry, named):
         def no_fit(*args):
-            raise AssertionError("fitted before the sample sizes were checked")
+            raise AssertionError("fitted before the config was checked")
         monkeypatch.setattr(erm, "_newton", no_fit)
         cfg = write_config(tmp_path, f"{entry}\n")
         assert main(["validate", "--config", cfg,

@@ -20,6 +20,12 @@ class TestGaussianEpsilon:
         assert ten.epsilon == pytest.approx(five.epsilon / 2.0, rel=1e-15)
         assert ten.epsilon == pytest.approx(0.4844805262605389, rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [1.0, 2.0])
+    def test_delta_of_one_or_more_is_an_error(self, delta):
+        with pytest.raises(ValueError, match=re.escape(
+                "delta must lie in (0, 1)")):
+            DpSpec(delta)
+
     def test_zero_noise_is_an_error(self):
         with pytest.raises(InfiniteLeakageError):
             gaussian_epsilon(DpSpec(delta=1e-5), 0.0)

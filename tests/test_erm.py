@@ -349,6 +349,15 @@ class TestReferenceClassifier:
         assert f.weights[0] > 0
 
 
+@pytest.mark.parametrize("value", [1e150, 1e154])
+def test_fit_converges_where_squares_stay_finite(value):
+    # each column's sum of squares is still finite: erm_fit takes the rows,
+    # and the fit converges with no overflow warning
+    fit = erm_fit(Dataset([[value, 1.0], [0.5, 2.0]], [1, -1]),
+                  ErmConfig(rho=0.1))
+    assert fit.converged and fit.iterations < 2000
+
+
 class TestExcessRisk:
     def test_identical_classifiers_score_zero(self):
         f = Classifier(np.array([0.3, -0.7]))

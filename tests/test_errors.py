@@ -7,8 +7,9 @@ fitted.  Every real-valued argument is refused by one rule too,
 refused as such, one that is not finite (an int beyond the float range is
 not) or lies past its sign bound is refused with that bound, and a numpy
 float is accepted without a warning.  An array argument holding text is
-refused rather than parsed, and ``erm_fit`` refuses an empty or non-finite
-dataset before it fits."""
+refused rather than parsed, ``erm_fit`` refuses an empty or non-finite
+dataset, or one whose squares overflow, before it fits, and
+``excess_risk`` refuses weights of the wrong shape before it draws."""
 
 import math
 import re
@@ -230,3 +231,31 @@ def test_erm_fit_refuses_a_non_finite_feature(value):
     data = Dataset([[value, 1.0], [0.5, 2.0]], [1, -1])
     with pytest.raises(ValueError, match="features must be finite"):
         erm_fit(data, CONFIG)
+
+
+@pytest.mark.parametrize("value", [1e155, 1e200])
+def test_erm_fit_refuses_features_whose_squares_overflow(value):
+    # finite, but the first column's sum of squares is not: the fit ran all
+    # max_iters iterations on overflowing products
+    data = Dataset([[value, 1.0], [0.5, 2.0]], [1, -1])
+    with pytest.raises(ValueError, match=re.escape(
+            "features must have a finite sum of squares in each column")):
+        erm_fit(data, CONFIG)
+
+
+@pytest.mark.parametrize("weights", [[[1.0], [2.0]], 1.0, np.zeros((2, 2))],
+                         ids=["column", "scalar", "matrix"])
+def test_classifier_refuses_weights_not_1d(weights):
+    with pytest.raises(ValueError, match="weights must be a 1-D array"):
+        Classifier(weights)
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ((2, 3), "f_d"), ((2, 2), "f_d"), ((3, 2), "f_star")],
+    ids=["f_d-short", "both-short", "f_star-short"])
+def test_excess_risk_refuses_weights_without_d_entries(sizes, named):
+    # before the evaluation draw: the fixture's default_rng is never reached
+    f_d, f_star = (Classifier(np.zeros(size)) for size in sizes)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{named}.weights must have gen.d=3 entries, got 2")):
+        excess_risk(f_d, f_star, CONFIG, GEN, 1000, 0)
