@@ -125,6 +125,38 @@ def _grid_cells(grid, stride: int, start: int, stop: int,
     return _texts(points, sep)[steps % reached]
 
 
+def _first_refused_point(grids: dict, columns: dict, conventions) -> str:
+    """A refused grid's first point in grid order, with its refusal.  Each
+    swept field, in row order, is fixed at its first value whose slice (the
+    later fields whole) the column form still refuses: a window of values
+    past those it passes doubles until refused, then halves onto that
+    value.  The refusal of the last slice, one point, is the message."""
+    def refusal(**fields) -> ValueError | None:
+        try:
+            stackelberg._closed_form_columns(**{**columns, **fields},
+                                             conventions=conventions)
+        except ValueError as exc:
+            return exc
+        return None
+
+    point = {}
+    for axis, (name, grid) in enumerate(grids.items()):
+        def refused(lo: int, hi: int) -> ValueError | None:
+            shape = (-1,) + (1,) * (len(grids) - 1 - axis)
+            return refusal(**point, **{name: grid[lo:hi].reshape(shape)})
+
+        # no value before lo is refused; [lo, hi) holds one once it is refused
+        # or reaches the end of the grid, whose slice is refused
+        lo, hi = 0, 1
+        while hi < grid.size and not refused(lo, hi):
+            lo, hi = hi, min(2 * hi, grid.size)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if refused(lo, mid) else (mid, hi)
+        point[name] = grid[lo].item()
+    return f"sweep point {point}: {refusal(**point)}"
+
+
 def run_sweep(config: RunConfig, out_dir: Path) -> int:
     """Classify the grid as columns, then write sweep.csv SWEEP_CHUNK_ROWS
     rows at a time.  A chunk's cells are an object table, one line per row
@@ -144,19 +176,7 @@ def run_sweep(config: RunConfig, out_dir: Path) -> int:
         kind, tau_h, utility = stackelberg._closed_form_columns(
             **columns, conventions=conventions)
     except ValueError:
-        # name the first refused point in grid order: fix each swept field,
-        # in row order, at its first value whose slice is still refused; the
-        # refusal of the last slice, a single point, is the message
-        point = {}
-        for name, grid in grids.items():
-            for point[name] in grid.tolist():
-                try:
-                    stackelberg._closed_form_columns(
-                        **{**columns, **point}, conventions=conventions)
-                except ValueError as exc:
-                    error = exc
-                    break
-        raise ConfigError(f"sweep point {point}: {error}")
+        raise ConfigError(_first_refused_point(grids, columns, conventions))
 
     # each swept field's grid with the rows between its steps; M's grid is
     # its one value where it is not swept

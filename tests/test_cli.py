@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from obfgame import (
     GameParams,
     InfeasiblePromiseError,
+    ModelConventions,
     cascade_simulate,
     classify_regime,
     cli,
@@ -534,13 +535,33 @@ class TestSweepCommand:
             "give a finite positive kappa = 1/(rho^2 N)",
             "give a finite c_g * kappa = c_g/(rho^2 N)"}
 
-    def test_refused_grid_builds_no_game_point(self, tmp_path, monkeypatch,
-                                               capsys):
-        # only the outer axis's last value, C_L = -0.002, is refused: a walk
-        # through GameParams in grid order built 89,701 points to name it,
-        # and narrowing the column form's refusal axis by axis evaluates it
-        # on at most 1 + 300 + 300 slices
-        built, calls = [], []
+    # each grid is refused from one value of one axis on; a walk through
+    # GameParams in grid order built 89,701 points to name the outer-last
+    # grid's.  The narrowing makes O(log steps) calls per axis, and after the
+    # call that refused the grid they cover at most the points of the slices
+    # up to the refused value, thrice over, and never more than 1.5 times
+    # the grid
+    @pytest.mark.parametrize("sweeps, point, message, points", [
+        ({"C_L": (2.0, -0.002, 300), "P_S": (0.5, 5.0, 300)},
+         {"C_L": -0.002, "P_S": 0.5},
+         "C_L must be finite and non-negative, got -0.002", 90_001),
+        ({"C_L": (2.0, 0.002, 300), "P_S": (5.0, 0.0, 300)},
+         {"C_L": 2.0, "P_S": 0.0}, "P_S must be finite and positive, got 0.0",
+         601),
+        ({"P_S": (5.0, 0.0, 90000)}, {"P_S": 0.0},
+         "P_S must be finite and positive, got 0.0", 90_001),
+        ({"C_L": (-0.002, 2.0, 300), "P_S": (0.5, 5.0, 300)},
+         {"C_L": -0.002, "P_S": 0.5},
+         "C_L must be finite and non-negative, got -0.002", 302),
+        ({"C_L": (2.0, -1.0, 300), "P_S": (0.5, 5.0, 300)},
+         {"C_L": -0.006688963210702337, "P_S": 0.5},
+         "C_L must be finite and non-negative, got -0.006688963210702337",
+         135_451),
+    ], ids=["outer-last", "inner-last", "one-axis", "first", "middle"])
+    def test_refused_grid_builds_no_game_point(
+            self, tmp_path, monkeypatch, capsys, sweeps, point, message,
+            points):
+        built, sizes = [], []
         post_init = GameParams.__post_init__
         columns = stackelberg._closed_form_columns
 
@@ -548,25 +569,52 @@ class TestSweepCommand:
             built.append(self)
             post_init(self)
 
-        def counting_columns(*args, **kwargs):
-            calls.append(kwargs)
-            return columns(*args, **kwargs)
+        def counting_columns(conventions, **fields):
+            sizes.append(np.broadcast(*fields.values()).size)
+            return columns(conventions=conventions, **fields)
 
         monkeypatch.setattr(GameParams, "__post_init__", counting_post_init)
         monkeypatch.setattr(stackelberg, "_closed_form_columns",
                             counting_columns)
-        text = (ROW3_GAME.replace("game.C_L = 1.0\n", "")
-                .replace("game.P_S = 2.0\n", "")
-                + "sweep.C_L.min = 2.0\nsweep.C_L.max = -0.002\n"
-                  "sweep.C_L.steps = 300\nsweep.P_S.min = 0.5\n"
-                  "sweep.P_S.max = 5.0\nsweep.P_S.steps = 300\n")
+        text = "".join(line + "\n" for line in ROW3_GAME.splitlines()
+                       if line.split(" = ")[0][len("game."):] not in sweeps)
+        for name, (low, high, steps) in sweeps.items():
+            text += (f"sweep.{name}.min = {low!r}\nsweep.{name}.max = "
+                     f"{high!r}\nsweep.{name}.steps = {steps}\n")
         cfg = write_config(tmp_path, text)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "config error: sweep point {'C_L': -0.002, 'P_S': 0.5}: "
-            "C_L must be finite and non-negative, got -0.002\n")
+            f"config error: sweep point {point}: {message}\n")
         assert not built
-        assert 0 < len(calls) <= 601
+        grid_points = math.prod(steps for _, _, steps in sweeps.values())
+        assert sizes[0] == grid_points
+        assert len(sizes) <= 2 + sum(2 * math.ceil(math.log2(steps))
+                                     for _, _, steps in sweeps.values())
+        assert sum(sizes[1:]) <= points
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_narrowing_matches_a_walk_on_any_refused_pattern(self, seed):
+        # refused values at random indices of three axes of 1 to 10 steps
+        # each; a walk through GameParams in grid order is the reference
+        rng = np.random.default_rng(seed)
+        grids = {}
+        for name, refused in [("C_L", -0.5), ("M", 0.0), ("P_S", math.inf)]:
+            grid = np.linspace(1.0, 3.0, rng.integers(1, 11))
+            grid[rng.random(grid.size) < rng.random() / 3] = refused
+            grids[name] = grid
+        grids["P_S"][rng.integers(grids["P_S"].size)] = math.inf
+        base = {"A_L": 2.0, "A_S": 0.5, "C_S": 1.0, "rho": 1.0, "N": 100}
+        conventions = ModelConventions()
+        for values in itertools.product(*(g.tolist() for g in grids.values())):
+            point = dict(zip(grids, values))
+            try:
+                GameParams(**base, **point, conventions=conventions)
+            except ValueError as exc:
+                message = str(exc)
+                break
+        columns = {**base, **dict(zip(grids, np.ix_(*grids.values())))}
+        assert cli._first_refused_point(grids, columns, conventions) == (
+            f"sweep point {point}: {message}")
 
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("low, high, refused", [
