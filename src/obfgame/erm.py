@@ -165,7 +165,8 @@ def generate_synthetic(n: int, d: int, separation: float,
     _check_count("rng_seed", rng_seed, 0)
     spec = GeneratorSpec(d, separation)
     rng = np.random.default_rng(rng_seed)
-    labels = rng.integers(0, 2, size=n) * 2.0 - 1.0  # choice((-1, 1))'s draw
+    labels = rng.integers(0, 2, size=n) * 2.0  # choice((-1, 1))'s draw
+    labels -= 1.0
     features = rng.standard_normal((n, d))
     features[:, 0] += labels * spec.separation
     return Dataset(features, labels)
@@ -188,8 +189,8 @@ def perturb_dataset(data: Dataset, spec: PerturbationSpec) -> Dataset:
 # Armijo sufficient-decrease fraction and the most step halvings tried.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# Records per block of the Hessian's weighted product: a block stays in
-# cache, where the product of all 100,000 reference records went to memory.
+# Records per block of a Newton pass: a block's terms are formed in cache,
+# where a pass over all 100,000 reference records went to memory.
 _BLOCK = 4096
 
 
@@ -227,11 +228,13 @@ def _newton(X: np.ndarray, y: np.ndarray,
     problem of a stack: features X (B, n, d), labels y (B, n).
 
     The Newton step p solves the Hessian X' diag(sigma(m) sigma(-m)) X / n +
-    rho I (summed over blocks of _BLOCK records) against the gradient at the
-    margins m.  The step length t (1, 1/2, ...) is the first whose exact
-    decrease (``_loss_change`` plus rho/2 (t^2 ||p||^2 - 2 t w.p); a
-    difference of objectives stalls at the rounding floor) passes the Armijo
-    test; where none does, the iterate stays put.
+    rho I against the gradient at the margins m.  The step length t (1, 1/2,
+    ...) is the first whose exact decrease (``_loss_change`` plus
+    rho/2 (t^2 ||p||^2 - 2 t w.p); a difference of objectives stalls at the
+    rounding floor) passes the Armijo test; where none does, the iterate
+    stays put.  Each iteration and each step length is one pass over blocks
+    of _BLOCK records, summing a block's terms while it is in cache; only m
+    and sigma(-m) persist at full length.
     ``objectives`` starts at ln 2 (w = 0) and adds the accepted decreases, so
     it never increases.  A fit stops at grad_tolerance or max_iters
     (converged=False) and leaves the stack, copied only when it shrinks.
@@ -241,10 +244,18 @@ def _newton(X: np.ndarray, y: np.ndarray,
     w, fval = np.zeros((B, d)), np.full(B, math.log(2.0))
     fits, objectives = [None] * B, [[math.log(2.0)] for _ in range(B)]
     active = np.arange(B)  # the fits still iterating: the rows of X and y
+    margins, s = np.empty((B, n)), np.empty((B, n))  # m and sigmoid(-m)
+    blocks = [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
     for iteration in itertools.count():
-        margins = y * (X @ w[active][..., None])[..., 0]
-        s = np.exp(-_softplus(margins))  # sigmoid(-m), stably
-        grad = rho * w[active] - ((y * s)[:, None] @ X)[:, 0] / n
+        wa, ysx, xhx = w[active][..., None], 0, 0  # sums over the blocks
+        for b in blocks:
+            xb, mb, sb = X[:, b], margins[:, b], s[:, b]
+            np.multiply(y[:, b], (xb @ wa)[..., 0], out=mb)
+            np.exp(-_softplus(mb), out=sb)  # sigmoid(-m), stably
+            ysx = ysx + ((y[:, b] * sb)[:, None] @ xb)[:, 0]
+            h = (sb * (1.0 - sb))[..., None]
+            xhx = xhx + xb.transpose(0, 2, 1) @ (xb * h)
+        grad = rho * w[active] - ysx / n
         norm = np.sqrt((grad * grad).sum(axis=1))
         stop = (norm <= tol) | (iteration == config.max_iters)
         for k, j in zip(np.flatnonzero(stop).tolist(), active[stop].tolist()):
@@ -256,18 +267,16 @@ def _newton(X: np.ndarray, y: np.ndarray,
             keep = ~stop
             active, X, y = active[keep], X[keep], y[keep]
             margins, s, grad = margins[keep], s[keep], grad[keep]
-        h = (s * (1.0 - s))[..., None]
-        hessian = sum(X[:, i:i + _BLOCK].transpose(0, 2, 1)
-                      @ (X[:, i:i + _BLOCK] * h[:, i:i + _BLOCK])
-                      for i in range(0, n, _BLOCK)) / n + rho * np.eye(d)
-        p = np.linalg.solve(hessian, grad[..., None])[..., 0]
-        q = y * (X @ p[..., None])[..., 0]
+            xhx = xhx[keep]
+        p = np.linalg.solve(xhx / n + rho * np.eye(d), grad[..., None])[..., 0]
         slope, pp, wp = (np.stack([grad, p, w[active]]) * p).sum(axis=2)
         step, rows = 1.0, slice(None)  # the fits still searching
         for _ in range(_MAX_HALVINGS):
-            decrease = (_loss_change(step, q[rows], margins[rows], s[rows])
-                        .mean(axis=1) + 0.5 * rho * (step * step * pp[rows]
-                                                     - 2.0 * step * wp[rows]))
+            change = sum(_loss_change(
+                step, y[rows, b] * (X[rows, b] @ p[rows, :, None])[..., 0],
+                margins[rows, b], s[rows, b]).sum(axis=1) for b in blocks)
+            decrease = change / n + 0.5 * rho * (step * step * pp[rows]
+                                                 - 2.0 * step * wp[rows])
             passed = decrease <= -_ARMIJO * step * slope[rows]
             moved = active[rows][passed]
             w[moved] -= step * p[rows][passed]
@@ -297,9 +306,12 @@ def erm_fit(data: Dataset, config: ErmConfig) -> FitResult:
 def reference_classifier(gen: GeneratorSpec, config: ErmConfig,
                          n_ref: int = 100_000, rng_seed: int = 0) -> FitResult:
     """Approximate the population-optimal classifier by fitting one large
-    clean sample from the generator; the fit carries its convergence."""
+    clean sample from the generator; the fit carries its convergence.  It
+    fits z = y x with labels +1: z.w is y (x.w) to the bit, since y x is."""
     _check_count("n_ref", n_ref, 2)
     data = generate_synthetic(n_ref, gen.d, gen.separation, rng_seed)
+    data.features *= data.labels[:, None]
+    data.labels = np.broadcast_to(1.0, n_ref)  # frees the labels' memory
     return erm_fit(data, config)
 
 

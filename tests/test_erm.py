@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,6 +59,20 @@ class TestGenerateSynthetic:
         data = generate_synthetic(n, d, separation, seed)
         assert np.array_equal(data.labels, labels)
         assert np.array_equal(data.features, features)
+
+    @pytest.mark.parametrize("n, d, separation, seed", [
+        (2, 1, 0.0, 0), (4099, 3, 2.5, 11), (100_000, 5, 1.0, 2**32 - 1),
+    ])
+    def test_draws_keep_their_bits(self, n, d, separation, seed):
+        # the labels as integers(0, 2) * 2 - 1, the features, then the
+        # column shift: the labels built in place keep every bit
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        features = rng.standard_normal((n, d))
+        features[:, 0] += labels * separation
+        data = generate_synthetic(n, d, separation, seed)
+        assert data.labels.tobytes() == labels.tobytes()
+        assert data.features.tobytes() == features.tobytes()
 
     def test_deterministic(self):
         a = generate_synthetic(100, 4, 1.0, rng_seed=9)
@@ -157,19 +172,40 @@ class TestErmFit:
         assert np.linalg.norm(fit.classifier.weights) <= 1e-3
 
     def test_blocked_hessian_fits_like_one_block(self, monkeypatch):
-        # the reference sums all n records at once; n spans two full blocks
-        # and a partial one, and the sums differ only in rounding
-        data = generate_synthetic(3 * erm._BLOCK - 7, 3, 1.0, rng_seed=11)
-        config = ErmConfig(rho=0.1)
-        blocked = erm_fit(data, config)
-        monkeypatch.setattr(erm, "_BLOCK", data.n)
-        whole = erm_fit(data, config)
-        assert blocked.iterations == whole.iterations
-        assert blocked.objectives == pytest.approx(whole.objectives,
-                                                   rel=1e-12)
-        assert np.allclose(blocked.classifier.weights,
-                           whole.classifier.weights, rtol=0.0,
-                           atol=2 * config.grad_tolerance / config.rho)
+        """Every block sum of a Newton pass (margins, sigma(-m), gradient,
+        Hessian, and each step length's direction products and loss change)
+        fits as one block of all n records does, to rounding.  Three stacks,
+        each with a partial last block: one fit of 3 * _BLOCK - 7 records;
+        five fits of 400 records over blocks of 64 that leave the stack
+        mid-run; and four records whose first step is halved, over blocks
+        of 3 and 1."""
+        steps = []
+        loss_change = erm._loss_change
+        monkeypatch.setattr(erm, "_loss_change", lambda step, *rest: (
+            steps.append(step) or loss_change(step, *rest)))
+        four = Dataset([[0.702, 0.935], [-1.03, 0.129], [1.459, -4.071],
+                        [0.271, -0.187]], [1, -1, 1, 1])
+        cases = [
+            ([generate_synthetic(3 * erm._BLOCK - 7, 3, 1.0, rng_seed=11)],
+             erm._BLOCK, ErmConfig(rho=0.1)),
+            ([generate_synthetic(400, 3, sep, rng_seed=5)
+              for sep in (0.0, 1.0, 6.0, 0.5, 3.0)], 64,
+             ErmConfig(rho=0.01, max_iters=6)),
+            ([four], 3, ErmConfig(rho=1e-4)),
+        ]
+        for datasets, block, config in cases:
+            fits = []
+            for size in (block, datasets[0].n):
+                monkeypatch.setattr(erm, "_BLOCK", size)
+                fits.append(_newton(*_stack(datasets), config))
+            for blocked, whole in zip(*fits):
+                assert blocked.iterations == whole.iterations
+                assert blocked.objectives == pytest.approx(whole.objectives,
+                                                           rel=1e-12)
+                assert np.allclose(blocked.classifier.weights,
+                                   whole.classifier.weights, rtol=0.0,
+                                   atol=2 * config.grad_tolerance / config.rho)
+        assert min(steps) < 1.0  # the four records' halving ran
 
     def test_gradient_norm_contract(self):
         data = generate_synthetic(1000, 5, 1.0, rng_seed=53)
@@ -341,6 +377,46 @@ class TestReferenceClassifier:
         rel = (np.linalg.norm(f1.weights - f2.weights)
                / np.linalg.norm(f1.weights))
         assert rel <= 0.02
+
+    def test_fits_y_x_like_the_labelled_draw(self):
+        # the reference fits z = y x with labels +1; erm_fit on the draw
+        # itself, x with labels y, fits the same problem
+        gen, config = GeneratorSpec(5, 1.0), ErmConfig(rho=0.1)
+        for n, seed in ((100_000, _task_seed(7, 0)),
+                        (3 * erm._BLOCK - 7, 11)):
+            ref = reference_classifier(gen, config, n_ref=n, rng_seed=seed)
+            fit = erm_fit(generate_synthetic(n, gen.d, gen.separation, seed),
+                          config)
+            assert ref.converged and ref.iterations == fit.iterations
+            assert ref.objectives == pytest.approx(fit.objectives, rel=1e-12)
+            assert np.allclose(ref.classifier.weights, fit.classifier.weights,
+                               rtol=0.0,
+                               atol=2 * config.grad_tolerance / config.rho)
+
+    def test_reference_fit_peaks_below_1_6_feature_matrices(self):
+        """Acceptance 6's reference (100,000 records of 5 features, a
+        4,000,000-byte matrix) peaks under tracemalloc below 1.6 times its
+        matrix: the fit keeps the matrix, m and sigma(-m) at full length
+        (1.4 times) and forms every other term a block at a time.  A fit
+        that held its labels, margins, sigma(-m), Hessian weights, direction
+        products and line-search temporaries at full length peaked at
+        10.7 MiB, 2.8 times the matrix."""
+        args = (GeneratorSpec(5, 1.0), ErmConfig(rho=0.1), 100_000,
+                _task_seed(7, 0))
+        reference_classifier(*args)  # untraced first: lazy imports
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit = reference_classifier(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert fit.converged
+        assert peak < 1.6 * 4_000_000
 
     def test_signal_direction(self):
         gen = GeneratorSpec(1, 2.0)
